@@ -97,34 +97,36 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 	res := &FCFSResult{Prog: p, First: first, Second: second, Holds: true,
 		Symmetry: plan.Pinned != nil}
 
+	// Product node i's program state is row i of states; node keeps the
+	// rest — monitor phase and the BFS edge that discovered it.
 	type node struct {
-		st     gcl.State
 		phase  int8
-		parent int32
 		byPid  int8
-		label  string
+		parent int32
+		label  int32
 	}
 	// The visited set over (program state, monitor phase) product nodes:
 	// the shared StateStore keyed on the state with the phase appended.
 	// The monitor pins a concrete process pair, so full-orbit symmetry is
 	// out — but the plan may select pinned-orbit keying, which collapses
 	// states related by permutations of the remaining pids.
-	nodes := []node{{st: p.InitState(), phase: 0, parent: -1, byPid: -1}}
-	seen := newStateStore(p, false, plan, nil)
-	fp0, key0 := seen.Prepare(nodes[0].st, 0)
+	states := makeSlab(p.StateLen())
+	states.push(p.InitState())
+	nodes := []node{{phase: 0, parent: -1, byPid: -1}}
+	seen := newStateStore(p, false, plan)
+	fp0, key0 := seen.Prepare(states.row(0), 0)
 	seen.Insert(fp0, key0, 0)
 
 	// The product loop probes the store through a per-head key slab instead
 	// of the allocating Prepare path: successors are generated into a
-	// reusable SuccBuf, each probe key (pinned-canonical under symmetry,
-	// concrete otherwise, plus the phase word) is packed into the slab, and
-	// only keys of FRESH product nodes are promoted to stable arena storage
-	// for the store to retain. Duplicates — the vast majority in a dense
-	// product — cost no allocation at all.
+	// reusable SuccBuf and each probe key (pinned-canonical under symmetry,
+	// concrete otherwise, plus the phase word) is packed into the slab. One
+	// probe numbers a fresh node, and the store copies only fresh keys, so
+	// duplicates — the vast majority in a dense product — cost no
+	// allocation at all.
 	var (
 		buf     gcl.SuccBuf
 		scratch gcl.KeySlab
-		stable  retainArena
 		canon   *gcl.Canonicalizer
 	)
 	if plan.Pinned != nil {
@@ -136,10 +138,10 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 		for k := i; k >= 0; k = nodes[k].parent {
 			rev = append(rev, k)
 		}
-		t := &Trace{Prog: p, Init: nodes[rev[len(rev)-1]].st}
+		t := &Trace{Prog: p, Init: states.row(rev[len(rev)-1])}
 		for k := len(rev) - 2; k >= 0; k-- {
 			nd := nodes[rev[k]]
-			t.Steps = append(t.Steps, Step{Pid: int(nd.byPid), Label: nd.label, State: nd.st})
+			t.Steps = append(t.Steps, Step{Pid: int(nd.byPid), Label: p.LabelName(int(nd.label)), State: states.row(rev[k])})
 		}
 		if extra != nil {
 			t.Steps = append(t.Steps, Step{Pid: extra.Pid, Label: extra.Label(p), State: extra.State})
@@ -156,7 +158,7 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 		nd := nodes[head]
 		buf.Reset()
 		scratch.Reset()
-		p.AllSuccsInto(nd.st, gcl.ModeUnbounded, &buf)
+		p.AllSuccsInto(states.row(head), gcl.ModeUnbounded, &buf)
 		for _, sc := range buf.Succs() {
 			phase := nd.phase
 			switch {
@@ -180,15 +182,11 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 				probe = canon.CanonicalizePinned(sc.State, plan.Pinned)
 			}
 			ki := scratch.AppendKey(probe, int32(phase))
-			fp, key := scratch.Fp(ki), scratch.Key(ki)
-			if _, dup := seen.Lookup(fp, key); dup {
+			if _, fresh := seen.FindOrInsert(scratch.Fp(ki), scratch.Key(ki), int32(len(nodes))); !fresh {
 				continue
 			}
-			seen.Insert(fp, stable.retain(key), int32(len(nodes)))
-			nodes = append(nodes, node{
-				st: stable.retain(sc.State), phase: phase, parent: head,
-				byPid: int8(sc.Pid), label: sc.Label(p),
-			})
+			states.push(sc.State)
+			nodes = append(nodes, node{phase: phase, byPid: int8(sc.Pid), parent: head, label: sc.LabelIdx})
 		}
 	}
 	res.Complete = true

@@ -96,8 +96,8 @@ func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 		}
 		e.wc.buf.Reset()
 		e.wc.slab.Reset()
-		s := e.stateAt(int32(head))
-		res.Depth = int(e.depth[head])
+		s := e.headState(&e.wc, int32(head))
+		res.Depth = int(e.depthOf(int32(head)))
 		succs, _, _, _ := e.successors(s, &e.wc)
 		e.prepBuf = growPreps(e.prepBuf, len(succs))
 		e.prepSuccs(&e.wc, succs, e.prepBuf)
@@ -320,13 +320,13 @@ func (g *Graph) FindStarvation(pred func(p *gcl.Prog, s gcl.State) bool, mustMov
 		}
 		entry := comp[0]
 		for _, v := range comp {
-			if g.expl.depth[v] < g.expl.depth[entry] {
+			if g.expl.depthOf(v) < g.expl.depthOf(entry) {
 				entry = v
 			}
 		}
 		return &StarvationReport{
 			ComponentSize: len(comp),
-			EntryLen:      int(g.expl.depth[entry]),
+			EntryLen:      int(g.expl.depthOf(entry)),
 			Entry:         g.expl.trace(entry),
 			MovesByPid:    moves,
 			Component:     comp,
@@ -409,7 +409,7 @@ func (g *Graph) FindNoProgress(mustMove []int) *NoProgressReport {
 		}
 		entry := comp[0]
 		for _, v := range comp {
-			if g.expl.depth[v] < g.expl.depth[entry] {
+			if g.expl.depthOf(v) < g.expl.depthOf(entry) {
 				entry = v
 			}
 		}
@@ -431,14 +431,13 @@ func (g *Graph) tagOf(from int, e Edge) string {
 	p := g.expl.p
 	s := g.expl.stateAt(int32(from))
 	// Under symmetry reduction the stored target is the orbit
-	// representative, so successors must be compared through the store's
-	// canonical keys; the target's key is hoisted out of the loop.
-	var fpTo uint64
+	// representative, so successors must be compared through canonical
+	// keys; the target's key is hoisted out of the loop.
+	toState := g.expl.stateAt(e.To)
 	var keyTo gcl.State
 	if g.expl.symmetry {
-		fpTo, keyTo = g.expl.store.Prepare(g.expl.stateAt(e.To))
+		keyTo = p.Canonicalize(toState)
 	}
-	toState := g.expl.stateAt(e.To)
 	for _, sc := range p.Succs(s, int(e.Pid), g.expl.opts.Mode, nil) {
 		if sc.LabelIdx != e.LabelIdx {
 			continue
@@ -449,7 +448,7 @@ func (g *Graph) tagOf(from int, e Edge) string {
 			}
 			continue
 		}
-		if fp, key := g.expl.store.Prepare(sc.State); fp == fpTo && key.Equal(keyTo) {
+		if p.Canonicalize(sc.State).Equal(keyTo) {
 			return sc.Tag
 		}
 	}

@@ -347,62 +347,21 @@ type wctx struct {
 	preps []prep
 }
 
-// retainArena is append-only bump storage for data that must live for the
-// whole exploration: numbered state vectors and the canonical keys the
-// exact stores retain. Blocks are never moved or freed, so returned slices
-// stay valid forever; compared with one heap allocation per state this
-// drops both allocator traffic and GC scan cost (a few large blocks instead
-// of millions of tiny pointers).
-type retainArena struct {
-	blocks [][]int32
-	off    int
-}
-
-// retainBlock is the arena block size in int32 words (1 MiB).
-const retainBlock = 1 << 18
-
-// retain copies s into the arena and returns the stable copy.
-func (a *retainArena) retain(s gcl.State) gcl.State {
-	n := len(s)
-	if len(a.blocks) == 0 || a.off+n > len(a.blocks[len(a.blocks)-1]) {
-		sz := retainBlock
-		if n > sz {
-			sz = n
-		}
-		a.blocks = append(a.blocks, make([]int32, sz))
-		a.off = 0
-	}
-	blk := a.blocks[len(a.blocks)-1]
-	out := blk[a.off : a.off+n : a.off+n]
-	a.off += n
-	copy(out, s)
-	return out
-}
-
-// sameSlice reports whether two states share the same backing array cell 0
-// (i.e. key IS s, not a copy) — the promote-on-fresh alias check.
-func sameSlice(a, b gcl.State) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
-}
-
 // explorer is the shared BFS engine behind Check and BuildGraph. Its
-// visited set is a StateStore (store.go): fingerprint-keyed, Equal- (or,
-// under symmetry, canonical-)confirmed, so the sequential engine shares
-// the allocation-light scheme the parallel engine always used instead of
-// keying a map on Prog.Key strings.
+// visited set (store.go) is fingerprint-keyed and Equal- (or, under
+// symmetry, canonical-)confirmed, indexing the numbered states by row.
 type explorer struct {
 	p        *gcl.Prog
 	opts     Options
 	plan     Plan
-	store    StateStore
+	store    visitedSet
 	symmetry bool // orbit dedup actually applied
 	por      bool // ample-set reduction actually applied
 	// trackPerms annotates graph edges with the permutation relating each
-	// concrete successor to its orbit's stored representative; canonPerm
-	// records, per stored state, the index of its canonical witnessing
-	// permutation (see quotient.go).
+	// concrete successor to its orbit's stored representative; the per-state
+	// canonical witnessing permutation index is the metaPerm word (see
+	// quotient.go).
 	trackPerms bool
-	canonPerm  []int32
 	// porOK[label][branch] marks branches eligible to form ample sets:
 	// local-only per the gcl footprint analysis, and invisible (neither
 	// endpoint label observed by any invariant).
@@ -420,34 +379,41 @@ type explorer struct {
 	// chaseCap bounds local-chain compression so a cycle of local actions
 	// (a local spin) cannot chase forever.
 	chaseCap int
-	// State-vector residency (stateAt/appendState/releaseState). With the
-	// default stores every numbered state's vector sits in states. Under
-	// Spill the vectors live in the mmap arena ar instead, offs holding one
-	// offset per state, and states stays empty. Under a lossy store without
-	// spill, vectors are kept only until their state is expanded (release
-	// true) — the visited set holds fingerprints, the frontier holds the
-	// only live vectors, and traces are gone (traceable false).
+	// State-vector residency (stateAt/appendState/releaseState). By default
+	// every numbered state's vector is row i of the states slab — which is
+	// also where the exact store reads its keys when the run is not
+	// symmetry-reduced. Under Spill the vectors live in the mmap arena ar
+	// instead, row i of offs holding state i's offset. Under a lossy store
+	// without spill, slab blocks are freed once BFS has expanded every state
+	// in them (release true) — the visited set holds fingerprints, the
+	// frontier holds the only live vectors, and traces are gone (traceable
+	// false).
 	ar        *arena
-	offs      []int64
+	offs      slab
 	release   bool
 	traceable bool
-	states    []gcl.State
-	parent    []int32
-	parentBy  []int32 // pid of the action producing this state; -1 for init
-	parentLb  []int32 // label index of the producing action; crashLabelIdx for crashes/init
-	depth     []int32
-	crashers  []int
+	states    slab
+	// meta holds one row of per-state metadata words per numbered state
+	// (metaDepth, then, when traceable, the BFS parent edge, then, under
+	// trackPerms, the canonical witnessing permutation); metaBuf is the
+	// row being assembled.
+	meta     slab
+	metaBuf  []int32
+	crashers []int
 	// wc is the sequential engine's expansion context; the parallel engine
 	// carries its own per-worker contexts and leaves this one to the merge
-	// pass. ret is the retained-state arena backing states (and, for the
-	// exact stores, promoted canonical keys); stableKeys marks store tiers
-	// that retain the Insert key slice (seq/sharded exact stores), requiring
-	// keys to be promoted out of the per-chunk scratch buffers before
-	// insertion.
-	wc         wctx
-	ret        retainArena
-	stableKeys bool
+	// pass.
+	wc wctx
 }
+
+// Per-state metadata words, in meta row order.
+const (
+	metaDepth  = iota // BFS depth
+	metaParent        // parent state number; -1 for init
+	metaPid           // pid of the action producing this state; -1 for init
+	metaLabel         // label index of the producing action; crashLabelIdx for crashes/init
+	metaPerm          // canonical witnessing permutation index (trackPerms)
+)
 
 // newExplorer builds the engine state for one exploration executing the
 // given reduction plan (see analysis.go; planFor gates every reduction on
@@ -486,60 +452,73 @@ func newExplorer(p *gcl.Prog, opts Options, sharded bool, plan Plan) *explorer {
 		}
 		e.chaseCap = p.N*len(p.Labels()) + 8
 	}
-	e.stableKeys = !plan.Store.Lossy() && !plan.Store.Spill
 	if plan.Symmetry || plan.TrackPerms {
 		e.wc.canon = p.NewCanonicalizer()
 	}
-	e.store = newStateStore(p, sharded, plan, e.ar)
+	metaWords := 1
+	if e.traceable {
+		metaWords = metaLabel + 1
+	}
+	if e.trackPerms {
+		metaWords = metaPerm + 1
+	}
+	e.meta = makeSlab(metaWords)
+	e.metaBuf = make([]int32, metaWords)
+	e.states = makeSlab(p.StateLen())
+	e.offs = makeSlab(2)
+	e.store = newEngineStore(p, sharded, plan, e.ar, &e.states)
 	return e
 }
 
 // numStates is the count of numbered states, independent of where their
 // vectors live.
-func (e *explorer) numStates() int {
-	if e.ar != nil {
-		return len(e.offs)
-	}
-	return len(e.states)
-}
+func (e *explorer) numStates() int { return int(e.meta.len()) }
 
-// stateAt returns state i's vector: the in-heap slice, or a fresh decode
-// from the spill arena. Under a lossy non-spill store the vector is only
-// valid until releaseState(i) runs (after i's expansion).
+// stateAt returns state i's vector: the slab row, or a fresh decode from
+// the spill arena. Under a lossy non-spill store the vector is only valid
+// until releaseState has passed i.
 func (e *explorer) stateAt(i int32) gcl.State {
 	if e.ar != nil {
-		return e.ar.state(e.offs[i])
+		return e.ar.state(offAt(e.offs.row(i)))
 	}
-	return e.states[i]
+	return e.states.row(i)
 }
 
-// appendState numbers a fresh state and stores its vector per the
-// residency mode; returns the new index. The incoming vector may live in a
-// worker's recycled scratch buffer, so every residency mode copies: spill
-// into the mmap arena, release mode into a short-lived heap clone (freed at
-// expansion), and the default exact mode into the retained arena.
-func (e *explorer) appendState(s gcl.State) int32 {
+// headState is stateAt for expanding state i in context w: a spilled
+// vector decodes into w's scratch buffer instead of a fresh allocation, so
+// it stays valid until w resets.
+func (e *explorer) headState(w *wctx, i int32) gcl.State {
+	if e.ar != nil {
+		return e.ar.decodeInto(w.buf.Alloc(e.p.StateLen()), offAt(e.offs.row(i)))
+	}
+	return e.states.row(i)
+}
+
+// depthOf returns state i's BFS depth.
+func (e *explorer) depthOf(i int32) int32 { return e.meta.row(i)[metaDepth] }
+
+// appendState stores a fresh state's vector per the residency mode. The
+// incoming vector may live in a worker's recycled scratch buffer, so every
+// mode copies: spill into the mmap arena, otherwise into the state slab.
+func (e *explorer) appendState(s gcl.State) {
 	if e.ar != nil {
 		off, err := e.ar.append(s)
 		if err != nil {
 			panic(err) // disk exhaustion mid-exploration: nothing sound to do
 		}
-		e.offs = append(e.offs, off)
-		return int32(len(e.offs) - 1)
+		w := offWords(off)
+		e.offs.push(w[:])
+		return
 	}
-	if e.release {
-		e.states = append(e.states, append(gcl.State(nil), s...))
-	} else {
-		e.states = append(e.states, e.ret.retain(s))
-	}
-	return int32(len(e.states) - 1)
+	e.states.push(s)
 }
 
-// releaseState drops state i's vector once it has been expanded — the
-// lossy non-spill memory win: only the frontier holds vectors.
+// releaseState marks state i expanded. In release mode every slab block
+// holding only expanded states is freed — the lossy non-spill memory win:
+// only the frontier's blocks stay resident.
 func (e *explorer) releaseState(i int) {
 	if e.release {
-		e.states[i] = nil
+		e.states.release(int32(i) + 1)
 	}
 }
 
@@ -608,13 +587,12 @@ type prep struct {
 // scratch buffer (the canonicalizer's own scratch is overwritten by its
 // next call, and POR keeps a batch of probes alive across one head's ample
 // check), so the key stays valid until the context resets — long enough for
-// the single-threaded insertion pass to promote fresh keys to stable
-// storage. Under permutation tracking it additionally ranks the canonical
+// the single-threaded insertion pass to copy fresh keys into the store.
+// Under permutation tracking it additionally ranks the canonical
 // witnessing permutation, sharing the single canonicalization pass.
 func (e *explorer) prepareProbe(w *wctx, s gcl.State) (uint64, gcl.State, int32) {
 	if w.canon == nil {
-		fp, key := e.store.Prepare(s)
-		return fp, key, 0
+		return s.Fingerprint(), s, 0
 	}
 	if e.trackPerms {
 		c, perm := w.canon.CanonicalizeWithPerm(s)
@@ -670,38 +648,30 @@ func growPreps(buf []prep, n int) []prep {
 }
 
 // addPrepared is add with the store probe already computed — the reduced
-// expansion path prepares each ample candidate once in ampleOK and must
-// not pay a second canonicalization here. The exact stores retain the
-// Insert key slice, and both s and key may point into recycled scratch, so
-// a fresh insertion promotes the key to stable storage first: when the key
-// IS the state (no symmetry), the just-retained numbered vector serves as
-// the key for free; a distinct canonical key gets its own arena copy.
+// expansion path prepares each ample candidate once in ampleOKPrep and must
+// not pay a second canonicalization here. One probe decides freshness and,
+// for a fresh state, claims its table slot under the next state number;
+// the state and its metadata are then appended in step. Both s and key may
+// point into recycled scratch: the store copies the canonical key it keeps,
+// and appendState copies the state.
 func (e *explorer) addPrepared(fp uint64, key gcl.State, perm int32, s gcl.State, parent int32, byPid int32, labelIdx int32) (int32, bool) {
-	if idx, ok := e.store.Lookup(fp, key); ok {
+	idx, fresh := e.store.FindOrInsert(fp, key, int32(e.numStates()))
+	if !fresh {
 		return idx, false
 	}
-	idx := e.appendState(s)
-	if e.stableKeys {
-		if sameSlice(key, s) {
-			key = e.states[idx]
-		} else {
-			key = e.ret.retain(key)
-		}
+	e.appendState(s)
+	m := e.metaBuf
+	m[metaDepth] = 0
+	if parent >= 0 {
+		m[metaDepth] = e.depthOf(parent) + 1
 	}
-	e.store.Insert(fp, key, idx)
 	if e.traceable {
-		e.parent = append(e.parent, parent)
-		e.parentBy = append(e.parentBy, byPid)
-		e.parentLb = append(e.parentLb, labelIdx)
+		m[metaParent], m[metaPid], m[metaLabel] = parent, byPid, labelIdx
 	}
 	if e.trackPerms {
-		e.canonPerm = append(e.canonPerm, perm)
+		m[metaPerm] = perm
 	}
-	if parent < 0 {
-		e.depth = append(e.depth, 0)
-	} else {
-		e.depth = append(e.depth, e.depth[parent]+1)
-	}
+	e.meta.push(m)
 	return idx, true
 }
 
@@ -716,7 +686,7 @@ func (e *explorer) labelName(idx int32) string {
 
 // edgePermIdx computes ρ, the permutation annotating a graph edge: the
 // concrete successor canonicalizes with witness π_t (index succPerm), the
-// stored representative of its orbit with witness π_j (canonPerm[to]), so
+// stored representative of its orbit with witness π_j (metaPerm of to), so
 // norm(succ) = Permute(norm(states[to]), ρ) with ρ = π_t⁻¹ ∘ π_j. Fresh
 // states ARE their own stored representative (ρ = identity).
 func (e *explorer) edgePermIdx(succPerm int32, to int32, fresh bool) int32 {
@@ -724,7 +694,7 @@ func (e *explorer) edgePermIdx(succPerm int32, to int32, fresh bool) int32 {
 		return 0
 	}
 	return int32(e.p.ComposePermIndex(
-		e.p.InvPermIndex(int(succPerm)), int(e.canonPerm[to])))
+		e.p.InvPermIndex(int(succPerm)), int(e.meta.row(to)[metaPerm])))
 }
 
 // trace reconstructs the path from the initial state to states[idx].
@@ -738,22 +708,18 @@ func (e *explorer) trace(idx int32) Trace {
 		return Trace{Prog: e.p, Init: e.p.InitState()}
 	}
 	var rev []int32
-	for i := idx; i >= 0; i = e.parent[i] {
+	for i := idx; i >= 0; i = e.meta.row(i)[metaParent] {
 		rev = append(rev, i)
 	}
 	t := Trace{Prog: e.p, Init: e.stateAt(rev[len(rev)-1])}
 	for k := len(rev) - 2; k >= 0; k-- {
-		i := rev[k]
+		m := e.meta.row(rev[k])
+		pid, label, state := int(m[metaPid]), e.labelName(m[metaLabel]), e.stateAt(rev[k])
 		if e.por {
-			t.Steps = append(t.Steps,
-				e.edgeSteps(e.stateAt(e.parent[i]), e.stateAt(i), int(e.parentBy[i]), e.labelName(e.parentLb[i]))...)
+			t.Steps = append(t.Steps, e.edgeSteps(e.stateAt(m[metaParent]), state, pid, label)...)
 			continue
 		}
-		t.Steps = append(t.Steps, Step{
-			Pid:   int(e.parentBy[i]),
-			Label: e.labelName(e.parentLb[i]),
-			State: e.stateAt(i),
-		})
+		t.Steps = append(t.Steps, Step{Pid: pid, Label: label, State: state})
 	}
 	return t
 }
@@ -949,7 +915,7 @@ func (e *explorer) chase(sc gcl.Succ, buf *gcl.SuccBuf) gcl.Succ {
 // interleaving lattices vetoes most reductions.)
 func (e *explorer) ampleOKPrep(preps []prep, d int32) bool {
 	for i := range preps {
-		if idx, ok := e.store.Lookup(preps[i].fp, preps[i].key); ok && e.depth[idx] != d+1 {
+		if idx, ok := e.store.Lookup(preps[i].fp, preps[i].key); ok && e.depthOf(idx) != d+1 {
 			return false
 		}
 	}
@@ -972,8 +938,13 @@ func Check(p *gcl.Prog, opts Options) *Result {
 	if opts.Workers != 0 {
 		return checkParallel(p, opts, plan)
 	}
+	return newExplorer(p, opts, false, plan).check()
+}
+
+// check is the sequential engine's safety search.
+func (e *explorer) check() *Result {
 	start := time.Now()
-	e := newExplorer(p, opts, false, plan)
+	p, opts := e.p, e.opts
 	res := &Result{Prog: p, Symmetry: e.symmetry, POR: e.por}
 
 	finish := func() *Result {
@@ -997,12 +968,12 @@ func Check(p *gcl.Prog, opts Options) *Result {
 		}
 		// One head, one buffer generation: every successor vector, canonical
 		// key, chase intermediate, and slab-packed probe below lives in
-		// e.wc's scratch and is recycled here. Fresh states were promoted
-		// out by addPrepared.
+		// e.wc's scratch and is recycled here. addPrepared copied fresh
+		// states and keys out.
 		e.wc.buf.Reset()
 		e.wc.slab.Reset()
-		s := e.stateAt(int32(head))
-		res.Depth = int(e.depth[head])
+		s := e.headState(&e.wc, int32(head))
+		res.Depth = int(e.depthOf(int32(head)))
 		succs, aPid, aLo, aHi := e.successors(s, &e.wc)
 		progress := false
 		for _, sc := range succs {
@@ -1019,7 +990,7 @@ func Check(p *gcl.Prog, opts Options) *Result {
 		use, preps := succs, e.prepBuf
 		if aPid >= 0 {
 			e.prepSuccs(&e.wc, succs[aLo:aHi], e.prepBuf[aLo:aHi])
-			if e.ampleOKPrep(e.prepBuf[aLo:aHi], e.depth[head]) {
+			if e.ampleOKPrep(e.prepBuf[aLo:aHi], e.depthOf(int32(head))) {
 				use, preps = succs[aLo:aHi], e.prepBuf[aLo:aHi]
 			} else {
 				e.prepSuccs(&e.wc, succs[:aLo], e.prepBuf[:aLo])

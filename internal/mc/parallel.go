@@ -108,9 +108,9 @@ type candInbox struct {
 }
 
 // pexplorer drives the parallel engine. It reuses the sequential explorer's
-// state/parent/depth arrays (so Graph, Trace, and the SCC analyses work
-// unchanged); the shared visited set is the explorer's StateStore, built
-// in its sharded variant so ownership partitions cleanly.
+// state and metadata slabs (so Graph, Trace, and the SCC analyses work
+// unchanged); the shared visited set is the explorer's store, built in its
+// sharded variant so ownership partitions cleanly.
 type pexplorer struct {
 	e       *explorer
 	workers int
@@ -118,7 +118,7 @@ type pexplorer struct {
 	// arenas: worker w batch-canonicalizes into wcs[w].slab and allocates
 	// candidate records from cslabs[w]. Both are recycled at each chunk
 	// boundary — by then the previous chunk's candidates have all been
-	// merged (fresh keys promoted to stable storage by addPrepared), so
+	// merged (addPrepared copied fresh states and keys out), so
 	// nothing references the scratch anymore.
 	wcs    []wctx
 	cslabs []candSlab
@@ -126,12 +126,6 @@ type pexplorer struct {
 	exps []expansion
 	// inboxes[p][o] routes candidates from producer p to shard-owner o.
 	inboxes [][]candInbox
-	// sst is the store downcast to its sharded variant, giving the drain
-	// pass direct unlocked shard access; nil for other tiers (compact,
-	// bitstate, spill), whose concurrent-safe Lookup is used instead.
-	sst *shardedStore
-	// mb is the store's merge-batching hook, when it has one.
-	mb mergeBatcher
 }
 
 // candSlab is bump-allocated storage for candidate records, recycled per
@@ -197,23 +191,7 @@ func newPExplorer(p *gcl.Prog, opts Options, plan Plan) *pexplorer {
 	for i := range pe.inboxes {
 		pe.inboxes[i] = make([]candInbox, w)
 	}
-	pe.sst, _ = pe.e.store.(*shardedStore)
-	pe.mb, _ = pe.e.store.(mergeBatcher)
 	return pe
-}
-
-// beginMerge/endMerge bracket the single-threaded merge pass for stores
-// that batch insertions under the chunk barrier.
-func (pe *pexplorer) beginMerge() {
-	if pe.mb != nil {
-		pe.mb.BeginMerge()
-	}
-}
-
-func (pe *pexplorer) endMerge() {
-	if pe.mb != nil {
-		pe.mb.EndMerge()
-	}
 }
 
 // addNumbered gives the candidate's state a number if it is new, mirroring
@@ -343,7 +321,7 @@ func (pe *pexplorer) expandRange(lo, hi int32, checkInv bool) []expansion {
 // read-only data.
 func (pe *pexplorer) expandState(idx int32, out *expansion, w *wctx, cs *candSlab) {
 	e := pe.e
-	succs, aPid, aLo, aHi := e.successors(e.stateAt(idx), w)
+	succs, aPid, aLo, aHi := e.successors(e.headState(w, idx), w)
 	out.aPid, out.aLo, out.aHi = int32(aPid), int32(aLo), int32(aHi)
 	out.progress = false
 	w.preps = growPreps(w.preps, len(succs))
@@ -369,7 +347,7 @@ func (pe *pexplorer) expandState(idx int32, out *expansion, w *wctx, cs *candSla
 
 // drainOwner resolves the advisory verdicts of every candidate routed to
 // shard-owner o: a visited-set lookup (unlocked and confined to o's own
-// shards when the store is the sharded exact tier), then invariant
+// shards for the exact in-heap tier; the other tiers lock), then invariant
 // pre-evaluation on candidates that look fresh. Each candidate is routed to
 // exactly one owner, so the field writes are exclusive; the surrounding
 // barriers order them against both expansion and merge.
@@ -377,14 +355,7 @@ func (pe *pexplorer) drainOwner(o, workers int, checkInv bool) {
 	e := pe.e
 	for p := 0; p < workers; p++ {
 		for _, c := range pe.inboxes[p][o].items {
-			var idx int32
-			var ok bool
-			if pe.sst != nil {
-				idx, ok = pe.sst.shards[c.fp&(shardCount-1)].t.lookup(c.fp, c.key)
-			} else {
-				idx, ok = e.store.Lookup(c.fp, c.key)
-			}
-			if ok {
+			if idx, ok := e.store.Lookup(c.fp, c.key); ok {
 				c.seen = idx
 				continue
 			}
@@ -410,7 +381,7 @@ func (pe *pexplorer) ampleOKAtMerge(cands []candidate, d int32) bool {
 		if !ok {
 			idx, ok = e.store.Lookup(c.fp, c.key)
 		}
-		if ok && e.depth[idx] != d+1 {
+		if ok && e.depthOf(idx) != d+1 {
 			return false
 		}
 	}
@@ -462,20 +433,18 @@ func checkParallel(p *gcl.Prog, opts Options, plan Plan) *Result {
 			hi = lo + maxChunk
 		}
 		merged = int(hi)
+		// Workers are quiescent from here to the next expandRange, so the
+		// merge pass writes the store without locks.
 		exps := pe.expandRange(lo, hi, checkInv)
-		// Workers are quiescent from here to the next expandRange: batch the
-		// whole chunk's store insertions without per-insert locking. (An
-		// early return skips endMerge; the store is discarded with the run.)
-		pe.beginMerge()
 		for i := range exps {
 			head := lo + int32(i)
 			if e.numStates() >= e.opts.MaxStates {
 				return finish()
 			}
-			res.Depth = int(e.depth[head])
+			res.Depth = int(e.depthOf(head))
 			x := &exps[i]
 			cands := x.cands
-			if x.aPid >= 0 && pe.ampleOKAtMerge(x.cands[x.aLo:x.aHi], e.depth[head]) {
+			if x.aPid >= 0 && pe.ampleOKAtMerge(x.cands[x.aLo:x.aHi], e.depthOf(head)) {
 				cands = x.cands[x.aLo:x.aHi]
 			}
 			for ci := range cands {
@@ -501,7 +470,6 @@ func checkParallel(p *gcl.Prog, opts Options, plan Plan) *Result {
 			// was expanded.
 			e.releaseState(int(head))
 		}
-		pe.endMerge()
 	}
 	res.Complete = true
 	return finish()
@@ -532,14 +500,13 @@ func buildGraphParallel(p *gcl.Prog, opts Options, plan Plan) (*Graph, error) {
 		}
 		merged = int(hi)
 		exps := pe.expandRange(lo, hi, checkInv)
-		pe.beginMerge()
 		for i := range exps {
 			head := lo + int32(i)
 			if e.numStates() > e.opts.MaxStates {
 				return nil, fmt.Errorf("mc: %s: state bound %d exceeded while building graph",
 					p.Name, e.opts.MaxStates)
 			}
-			res.Depth = int(e.depth[head])
+			res.Depth = int(e.depthOf(head))
 			x := &exps[i]
 			for ci := range x.cands {
 				c := &x.cands[ci]
@@ -558,7 +525,6 @@ func buildGraphParallel(p *gcl.Prog, opts Options, plan Plan) (*Graph, error) {
 					Perm: e.edgePermIdx(c.perm, idx, fresh)})
 			}
 		}
-		pe.endMerge()
 	}
 	res.States = e.numStates()
 	res.Store = e.storeReport()

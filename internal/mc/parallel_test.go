@@ -47,13 +47,10 @@ func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 		if !seq.State(i).Equal(par.State(i)) {
 			t.Fatalf("state %d differs:\n  sequential %v\n  parallel   %v", i, seq.State(i), par.State(i))
 		}
-		if seq.expl.parent[i] != par.expl.parent[i] ||
-			seq.expl.parentBy[i] != par.expl.parentBy[i] ||
-			seq.expl.parentLb[i] != par.expl.parentLb[i] ||
-			seq.expl.depth[i] != par.expl.depth[i] {
-			t.Fatalf("BFS tree differs at state %d: sequential (parent=%d by=%d lb=%q d=%d), parallel (parent=%d by=%d lb=%q d=%d)",
-				i, seq.expl.parent[i], seq.expl.parentBy[i], seq.expl.parentLb[i], seq.expl.depth[i],
-				par.expl.parent[i], par.expl.parentBy[i], par.expl.parentLb[i], par.expl.depth[i])
+		// The metadata row holds depth, parent, producing pid and label (and
+		// the witnessing permutation on quotient graphs).
+		if sm, pm := seq.expl.meta.row(int32(i)), par.expl.meta.row(int32(i)); !sm.Equal(pm) {
+			t.Fatalf("BFS tree differs at state %d: sequential (depth, parent, by, label...) %v, parallel %v", i, sm, pm)
 		}
 	}
 	if len(seq.Adj) != len(par.Adj) {

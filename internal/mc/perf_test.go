@@ -38,14 +38,12 @@ func TestInboxPushDrainAllocFree(t *testing.T) {
 		}
 		merged = int(hi)
 		exps := pe.expandRange(lo, hi, true)
-		pe.beginMerge()
 		for i := range exps {
 			x := &exps[i]
 			for ci := range x.cands {
 				pe.addNumbered(&x.cands[ci], lo+int32(i))
 			}
 		}
-		pe.endMerge()
 	}
 	if e.numStates() < 512 {
 		t.Fatalf("state space too small to exercise the parallel path: %d states", e.numStates())

@@ -90,11 +90,11 @@ type product struct {
 	nodes    []prodNode
 	idx      map[uint64]int32
 	// extra holds the normalized states of orbits absent from the quotient
-	// store, extraPerm their canonical witnessing permutations, extraBuck
-	// a canonical-key bucket index over them.
-	extra     []gcl.State
+	// store, extraPerm their canonical witnessing permutations, extraIdx
+	// maps each one's canonical key to its extra row.
+	extra     slab
 	extraPerm []int32
-	extraBuck map[uint64][]kv
+	extraIdx  StateStore
 	// norms lazily caches NormalizeCursors of each primary representative.
 	norms []gcl.State
 	// stabs lazily caches each representative's stabilizer (permutation
@@ -156,7 +156,7 @@ func (pr *product) compose(a, b int32) int32 {
 // for primary states, direct for supplementary ones (stored normalized).
 func (pr *product) normOf(rep int32) gcl.State {
 	if rep >= pr.nPrimary {
-		return pr.extra[rep-pr.nPrimary]
+		return pr.extra.row(rep - pr.nPrimary)
 	}
 	if pr.norms[rep] == nil {
 		pr.norms[rep] = pr.p.NormalizeCursors(pr.g.expl.stateAt(rep))
@@ -231,8 +231,8 @@ func (pr *product) push(rep, perm, parent, parentE int32) int32 {
 }
 
 // locate identifies the product node a generated successor u of node nd
-// lands on. u must already be cursor-normalized and owned by the caller
-// (it is retained when it opens a fresh supplementary orbit). The fast
+// lands on. u must already be cursor-normalized (it is copied into the
+// supplementary table when it opens a fresh orbit). The fast
 // path tries the stored quotient edges of nd's representative: an edge by
 // the matching representative-frame pid and label predicts the landing as
 // (Edge.To, τ∘Edge.Perm), confirmed by comparing u against that node's
@@ -263,20 +263,19 @@ func (pr *product) locate(nd prodNode, succPid int, labelIdx int32, u gcl.State)
 	pr.slowPaths++
 	c, w := p.CanonicalizeWithPerm(u)
 	wIdx := int32(p.PermIndexOf(w))
-	if j, ok := pr.g.expl.store.Lookup(c.Fingerprint(), c); ok {
+	fp := c.Fingerprint()
+	if j, ok := pr.g.expl.store.Lookup(fp, c); ok {
 		// norm(u) = Permute(norm(states[j]), w⁻¹∘π_j).
-		return j, pr.cosetCanon(j, pr.compose(int32(p.InvPermIndex(int(wIdx))), pr.g.expl.canonPerm[j]))
+		return j, pr.cosetCanon(j, pr.compose(int32(p.InvPermIndex(int(wIdx))), pr.g.expl.meta.row(j)[metaPerm]))
 	}
 	// Orbit unknown to the quotient store: intern it in the supplementary
 	// table, keyed canonically.
-	fp := c.Fingerprint()
-	if k, ok := bucketLookup(pr.extraBuck[fp], c); ok {
+	k, fresh := pr.extraIdx.FindOrInsert(fp, c, pr.extra.len())
+	if !fresh {
 		r := pr.nPrimary + k
 		return r, pr.cosetCanon(r, pr.compose(int32(p.InvPermIndex(int(wIdx))), pr.extraPerm[k]))
 	}
-	k := int32(len(pr.extra))
-	pr.extraBuck[fp] = bucketInsert(pr.extraBuck[fp], c, k)
-	pr.extra = append(pr.extra, u)
+	pr.extra.push(u)
 	pr.extraPerm = append(pr.extraPerm, wIdx)
 	return pr.nPrimary + k, 0
 }
@@ -301,13 +300,14 @@ func (g *Graph) buildProduct() *product {
 	p := g.expl.p
 	pr := &product{
 		g: g, p: p,
-		nPerms:    int32(p.NumPerms()),
-		nPrimary:  int32(g.expl.numStates()),
-		idx:       make(map[uint64]int32, 4*g.expl.numStates()),
-		extraBuck: map[uint64][]kv{},
-		norms:     make([]gcl.State, g.expl.numStates()),
-		viewBuf:   make(gcl.State, p.StateLen()),
-		wantBuf:   make(gcl.State, p.StateLen()),
+		nPerms:   int32(p.NumPerms()),
+		nPrimary: int32(g.expl.numStates()),
+		idx:      make(map[uint64]int32, 4*g.expl.numStates()),
+		extra:    makeSlab(p.StateLen()),
+		extraIdx: newStateStore(p, false, Plan{}),
+		norms:    make([]gcl.State, g.expl.numStates()),
+		viewBuf:  make(gcl.State, p.StateLen()),
+		wantBuf:  make(gcl.State, p.StateLen()),
 	}
 	if int(pr.nPerms) <= 720 {
 		pr.composeTab = make([]int32, int(pr.nPerms)*int(pr.nPerms))
@@ -326,7 +326,7 @@ func (g *Graph) buildProduct() *product {
 		nd := pr.nodes[head]
 		pr.viewInto(pr.viewBuf, nd)
 		for i, sc := range p.AllSuccs(pr.viewBuf, mode) {
-			u := sc.State // owned: apply clones
+			u := sc.State
 			p.NormalizeCursorsInPlace(u)
 			rep, perm := pr.locate(nd, sc.Pid, sc.LabelIdx, u)
 			t := pr.push(rep, perm, head, int32(len(pr.targets)))

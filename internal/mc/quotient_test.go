@@ -85,10 +85,10 @@ func TestQuotientProductCoversNormalizedSpace(t *testing.T) {
 	// orbit-mates), and the product stays exact only because unknown orbits
 	// are interned on the side. If this ever becomes zero the assertion is
 	// good news — but until then it documents why the table exists.
-	if len(pr.extra) == 0 {
+	if int(pr.extra.len()) == 0 {
 		t.Log("note: quotient store covered every orbit the product reached (supplementary table unused)")
 	} else {
-		t.Logf("supplementary orbits: %d (quotient store has %d)", len(pr.extra), quot.NumStates())
+		t.Logf("supplementary orbits: %d (quotient store has %d)", int(pr.extra.len()), quot.NumStates())
 	}
 }
 

@@ -100,7 +100,7 @@ func CheckBoundedRefinement(impl, spec *gcl.Prog, opts RefinementOptions) (*Refi
 		return nil, err
 	}
 	r := &refiner{impl: impl, spec: spec, opts: opts,
-		beliefIDs: map[string]int{}, memo: newStateStore(impl, false, plan, nil)}
+		beliefIDs: map[string]int{}, memo: newStateStore(impl, false, plan)}
 	res := &RefinementResult{}
 
 	initBelief := r.tauClosure([]gcl.State{spec.InitState()})
@@ -218,13 +218,12 @@ func (r *refiner) withinCeiling(s gcl.State) bool {
 // tauClosure expands a set of spec states with every state reachable by
 // internal (non-event) transitions, pruning above the ceiling.
 func (r *refiner) tauClosure(seed []gcl.State) []gcl.State {
-	seen := newStateStore(r.spec, false, Plan{}, nil)
+	seen := newStateStore(r.spec, false, Plan{})
 	var out []gcl.State
 	var queue []gcl.State
 	push := func(s gcl.State) {
 		fp, key := seen.Prepare(s)
-		if _, dup := seen.Lookup(fp, key); !dup {
-			seen.Insert(fp, key, int32(len(out)))
+		if _, fresh := seen.FindOrInsert(fp, key, int32(len(out))); fresh {
 			out = append(out, s)
 			queue = append(queue, s)
 		}
@@ -252,7 +251,7 @@ func (r *refiner) tauClosure(seed []gcl.State) []gcl.State {
 // by exactly one occurrence of event ev.
 func (r *refiner) move(belief []gcl.State, ev string) []gcl.State {
 	var landed []gcl.State
-	seen := newStateStore(r.spec, false, Plan{}, nil)
+	seen := newStateStore(r.spec, false, Plan{})
 	for _, s := range belief {
 		for _, sc := range r.spec.AllSuccs(s, gcl.ModeUnbounded) {
 			got := eventOf(r.spec, sc.Pid, r.spec.PCLabel(s, sc.Pid), r.spec.PCLabel(sc.State, sc.Pid))
@@ -260,8 +259,7 @@ func (r *refiner) move(belief []gcl.State, ev string) []gcl.State {
 				continue
 			}
 			fp, key := seen.Prepare(sc.State)
-			if _, dup := seen.Lookup(fp, key); !dup {
-				seen.Insert(fp, key, int32(len(landed)))
+			if _, fresh := seen.FindOrInsert(fp, key, int32(len(landed))); fresh {
 				landed = append(landed, sc.State)
 			}
 		}

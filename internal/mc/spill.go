@@ -8,10 +8,11 @@ package mc
 //
 //   - the engine's state pager (explorer.appendState/stateAt): every
 //     numbered state's vector is encoded into the arena and decoded on
-//     demand, so e.states holds nothing;
-//   - the exact spill store (spillStore below): key vectors are kept as
-//     arena offsets and membership compares run directly against the
-//     mapped bytes, so exactness survives without heap copies.
+//     demand, taking the place of the in-heap state slab;
+//   - the exact spill store (spillStore below): its fpTable rows
+//     (store.go) name arena offsets, so membership compares run directly
+//     against the mapped bytes and exactness survives without heap copies
+//     of the keys.
 //
 // The arena grows in fixed 64 MiB chunks that are mapped once and never
 // remapped or moved, so a reader holding a decoded offset can never be
@@ -127,12 +128,16 @@ func (a *arena) append(s gcl.State) (int64, error) {
 // state decodes a fresh copy of the entry at off.
 func (a *arena) state(off int64) gcl.State {
 	b := a.chunks[off>>arenaChunkLog2][off&arenaChunkMask:]
-	n := int(le32(b))
-	s := make(gcl.State, n)
-	for i := range s {
-		s[i] = int32(le32(b[4+4*i:]))
+	return a.decodeInto(make(gcl.State, le32(b)), off)
+}
+
+// decodeInto decodes the entry at off into dst, which must have its length.
+func (a *arena) decodeInto(dst gcl.State, off int64) gcl.State {
+	b := a.chunks[off>>arenaChunkLog2][off&arenaChunkMask:]
+	for i := range dst {
+		dst[i] = int32(le32(b[4+4*i:]))
 	}
-	return s
+	return dst
 }
 
 // equalAt compares the entry at off with key, allocation-free.
@@ -164,29 +169,24 @@ func putle32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }
 
-// skv is one spill-store entry: the key's arena offset and its value.
-type skv struct {
-	off int64
-	val int32
-}
+// offWords splits an arena offset into the two int32 words a slab row
+// stores; offAt joins them back.
+func offWords(off int64) [2]int32 { return [2]int32{int32(off), int32(off >> 32)} }
 
-// spillShard is one stripe of the spill store's fingerprint index.
-type spillShard struct {
-	mu sync.RWMutex
-	m  map[uint64][]skv
-}
+func offAt(row gcl.State) int64 { return int64(uint32(row[0])) | int64(row[1])<<32 }
 
 // spillStore is the exact store with its key vectors in the arena: the
-// in-heap residue is one (offset, value) pair per state plus the map
-// buckets. Membership stays fingerprint+Equal exact — comparisons run
-// against the mapped bytes — so every analysis that needs exactness can
-// use it. Concurrent-safe (striped RWMutexes; arena appends serialized).
+// in-heap residue is one table slot plus an (offset, value) row per key,
+// the offset as two words. Membership stays fingerprint+Equal exact —
+// comparisons run against the mapped bytes — so every analysis that needs
+// exactness can use it. Concurrent-safe (striped RWMutexes; arena appends
+// serialized).
 type spillStore struct {
 	p       *gcl.Prog
 	plan    Plan
 	ar      *arena
 	entries atomic.Int64
-	shards  [shardCount]spillShard
+	shards  [shardCount]valTable
 }
 
 // newSpillStore wraps arena ar (creating a private one when nil — the
@@ -200,7 +200,7 @@ func newSpillStore(p *gcl.Prog, plan Plan, ar *arena) (*spillStore, error) {
 	}
 	st := &spillStore{p: p, plan: plan, ar: ar}
 	for i := range st.shards {
-		st.shards[i].m = map[uint64][]skv{}
+		st.shards[i].rows = makeSlab(3)
 	}
 	return st, nil
 }
@@ -209,36 +209,31 @@ func (st *spillStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
 	return prepare(st.p, st.plan, s, extra)
 }
 
-func (st *spillStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
+// probe runs op on the key's shard; a fresh key is appended to the arena.
+func (st *spillStore) probe(op probeOp, fp uint64, key gcl.State, val int32) (int32, bool) {
 	sh := &st.shards[fp&(shardCount-1)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, e := range sh.m[fp] {
-		if st.ar.equalAt(e.off, key) {
-			return e.val, true
+	eq := func(r int32) bool { return st.ar.equalAt(offAt(sh.rows.row(r)), key) }
+	return sh.probe(true, op, fp, eq, func() gcl.State {
+		off, err := st.ar.append(key)
+		if err != nil {
+			panic(err) // disk exhaustion mid-exploration: nothing sound to do
 		}
-	}
-	return -1, false
+		st.entries.Add(1)
+		w := offWords(off)
+		return w[:]
+	}, val)
 }
 
-func (st *spillStore) Insert(fp uint64, key gcl.State, val int32) {
-	sh := &st.shards[fp&(shardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	bucket := sh.m[fp]
-	for i := range bucket {
-		if st.ar.equalAt(bucket[i].off, key) {
-			bucket[i].val = val
-			return
-		}
-	}
-	off, err := st.ar.append(key)
-	if err != nil {
-		panic(err) // disk exhaustion mid-exploration: nothing sound to do
-	}
-	sh.m[fp] = append(bucket, skv{off: off, val: val})
-	st.entries.Add(1)
+func (st *spillStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
+	return st.probe(opLookup, fp, key, -1)
 }
+
+func (st *spillStore) FindOrInsert(fp uint64, key gcl.State, val int32) (int32, bool) {
+	v, found := st.probe(opFindOrInsert, fp, key, val)
+	return v, !found
+}
+
+func (st *spillStore) Insert(fp uint64, key gcl.State, val int32) { st.probe(opInsert, fp, key, val) }
 
 func (st *spillStore) Report() StoreReport {
 	return StoreReport{

@@ -1,76 +1,88 @@
 package mc
 
-// StateStore is the visited-set abstraction every exploration loop in this
-// package — Check/BuildGraph (both engines), the FCFS monitor product, and
-// the bounded-refinement memo — routes through. All implementations share
-// one scheme: states are keyed by a 64-bit fingerprint and the rare
-// fingerprint collisions are resolved by comparing full key vectors, so
-// membership stays exact (unlike TLC's default trust-the-fingerprint
-// mode).
+// The visited set. Every exploration in this package — Check and BuildGraph
+// on both engines, the FCFS monitor product, the refinement memo, and the
+// quotient product's supplementary orbit index — resolves membership through
+// one hashed index, fpTable: open addressing with linear probing over a flat
+// array of (fingerprint, row) slots. A slot holds no key and no pointer. It
+// names a row, and the key behind the row lives in a stride-addressed,
+// block-allocated []int32 slab (the spill tier keeps it in the mmap arena
+// instead). A probe matches on the fingerprint first, one integer compare,
+// and confirms by comparing the probe key with the row's key, so membership
+// stays exact, unlike TLC's default trust-the-fingerprint mode. A
+// fingerprint collision costs one extra row comparison.
 //
-// Three implementations cover the engines' needs:
+// Where the rows come from:
 //
-//   - sequential (newSeqStore): a single open-addressed linear-probe
-//     table (fpTable), no locking — the sequential engine and the
-//     monitor/memo searches.
-//   - sharded-parallel (newShardedStore): the same table striped over 64
-//     shards selected by fingerprint. The parallel engine partitions the
-//     shards over its workers (owner-computes): each shard is read by
-//     exactly one drain goroutine per phase, through direct unlocked table
-//     access, while the single-threaded merge pass remains the only writer
-//     — phases are separated by chunk barriers, and the locked
-//     Lookup/Insert path (elided between BeginMerge/EndMerge) stays as the
-//     generic interface for callers outside that protocol.
-//   - symmetry-aware (either of the above with Plan.Symmetry): Prepare
-//     canonicalizes the state before probing, so all states of one
-//     process-permutation orbit collapse onto a single entry. The store
-//     retains the canonical key (and the witnessing permutation is
-//     recoverable via gcl.CanonicalizeWithPerm); the *engines* keep and
-//     expand the concrete, first-encountered representative, which is what
-//     keeps counterexample traces concrete and replayable — see
-//     docs/model-checking.md, "Symmetry reduction".
-//   - pinned-symmetry (Plan.Pinned): Prepare canonicalizes over the
-//     subgroup of permutations that fix the pinned pids, the keying the
-//     FCFS monitor product uses — the monitor distinguishes its (first,
-//     second) pair but is symmetric in everyone else. Extra key words (the
-//     monitor phase) are appended after the pinned-canonical state.
+//   - engine stores (rowStore, built by newEngineStore): a row is a state
+//     number and the value is the row itself. Without symmetry the row's key
+//     IS the numbered state, read from the explorer's state slab, so the
+//     store keeps no key copy at all. Under symmetry the store keeps a
+//     parallel canonical-key slab whose row i holds the canonical key of
+//     state i; the engines still keep and expand the concrete,
+//     first-encountered representative, which keeps counterexample traces
+//     concrete and replayable (docs/model-checking.md, "Symmetry
+//     reduction"). The sequential engine uses one table. The parallel engine
+//     stripes 64 tables by fingerprint, and each drain goroutine reads only
+//     the shards it owns (owner-computes). Neither takes locks: drains only
+//     read, the single-threaded merge pass is the only writer, and chunk
+//     barriers separate the two.
+//   - generic stores (keyStore, built by newStateStore): the table owns a key
+//     slab per key width plus vals[row]. These serve the monitor and memo
+//     searches, whose values are payloads rather than state numbers, and
+//     whose keys may carry extra words (a monitor phase, a belief id). The
+//     pinned-symmetry plan (Plan.Pinned) keys on representatives canonical
+//     over the permutations that fix the pinned pids — the FCFS monitor's
+//     keying. The sharded variant locks per shard.
+//   - the lossy tiers (compactStore, bitstateStore below) and the exact spill
+//     tier (spill.go). The compact store's rows address its second
+//     fingerprint word and value; bitstate keeps no table at all.
+//
+// The engines number a state with a single probe, FindOrInsert: a fresh key
+// claims the empty slot the probe ended on.
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"bakerypp/internal/gcl"
 )
 
-// StateStore maps key states to int32 values (state numbers for the
-// engines, monitor/memo payloads for the product searches) with
-// fingerprint+Equal exactness.
+// visitedSet is the membership interface the engines need: the advisory
+// lookup (drains, the POR proviso, the quotient product) and the
+// single-probe numbering of a fresh state.
+type visitedSet interface {
+	// Lookup returns the value stored under key, if present.
+	Lookup(fp uint64, key gcl.State) (int32, bool)
+	// FindOrInsert returns the value stored under key and false if the key
+	// is present; otherwise it stores val under key and returns val and
+	// true. The key is copied where the store keeps one.
+	FindOrInsert(fp uint64, key gcl.State, val int32) (int32, bool)
+}
+
+// StateStore maps key states to int32 values (monitor and memo payloads,
+// or state numbers) with fingerprint+Equal exactness.
 type StateStore interface {
+	visitedSet
 	// Prepare computes the probe for s: a fingerprint and the key state it
 	// was computed from. Non-symmetric stores key on s itself (no copy);
 	// the symmetry-aware store keys on the canonical representative of s's
 	// orbit. Optional extra words (a monitor phase, a belief id) are
 	// appended to the key; they are rejected by symmetry-aware stores.
 	Prepare(s gcl.State, extra ...int32) (uint64, gcl.State)
-	// Lookup returns the value stored under key, if present.
-	Lookup(fp uint64, key gcl.State) (int32, bool)
-	// Insert stores val under key, replacing any previous value. The key
-	// must not be mutated afterwards.
+	// Insert stores val under key, replacing any previous value.
 	Insert(fp uint64, key gcl.State, val int32)
 }
 
-// newStateStore builds the store variant an exploration plan needs.
-// Plan.Symmetry requires p.CanCanonicalize() and Plan.Pinned requires
-// p.CanTrackPerms(); planFor gates on those and falls back to the full
-// search otherwise. Plan.Store selects the representation tier: exact
-// in-heap (the two historical variants below), exact with arena-spilled
-// keys (spill.go), hash-compaction, or bitstate (both below); planFor has
-// already refused lossy tiers for analyses that need exactness. ar is the
-// engine's spill arena for key sharing (nil when the caller has none —
-// the monitor and memo searches — in which case a spill store makes its
-// own).
-func newStateStore(p *gcl.Prog, sharded bool, plan Plan, ar *arena) StateStore {
+// newStateStore builds the generic store a plan needs. Plan.Symmetry
+// requires p.CanCanonicalize() and Plan.Pinned requires p.CanTrackPerms();
+// planFor gates on those and falls back to the full search otherwise.
+// Plan.Store selects the tier: exact in-heap, exact with arena-spilled keys
+// (spill.go), hash compaction, or bitstate; planFor has already refused
+// lossy tiers for analyses that need exactness.
+func newStateStore(p *gcl.Prog, sharded bool, plan Plan) StateStore {
 	switch plan.Store.Mode {
 	case StoreCompact:
 		return newCompactStore(p, plan)
@@ -78,32 +90,44 @@ func newStateStore(p *gcl.Prog, sharded bool, plan Plan, ar *arena) StateStore {
 		return newBitstateStore(p, plan)
 	}
 	if plan.Store.Spill {
-		st, err := newSpillStore(p, plan, ar)
+		st, err := newSpillStore(p, plan, nil)
 		if err != nil {
 			panic(err) // arena creation: disk/temp-dir failure
 		}
 		return st
 	}
-	if sharded {
-		return newShardedStore(p, plan)
+	return newKeyStore(p, sharded, plan)
+}
+
+// newEngineStore builds an exploration engine's visited set. The exact
+// in-heap tier is a rowStore over the engine's own state slab (its
+// canonical-key slab under symmetry); the lossy tiers are the generic ones;
+// the spill tier shares the engine's pager arena ar.
+func newEngineStore(p *gcl.Prog, sharded bool, plan Plan, ar *arena, states *slab) visitedSet {
+	if plan.Store.Lossy() {
+		return newStateStore(p, sharded, plan)
 	}
-	return newSeqStore(p, plan)
+	if plan.Store.Spill {
+		st, err := newSpillStore(p, plan, ar)
+		if err != nil {
+			panic(err)
+		}
+		return st
+	}
+	st := &rowStore{keys: states, tabs: make([]fpTable, 1)}
+	if sharded {
+		st.tabs = make([]fpTable, shardCount)
+	}
+	if plan.Symmetry {
+		keys := makeSlab(p.StateLen())
+		st.keys, st.own = &keys, true
+	}
+	return st
 }
 
-// kv is one stored entry: the key vector (concrete or canonical) and its
-// value. For the engines' non-symmetric stores the key aliases the state
-// already retained in the numbered-state array, so the entry costs one
-// slice header beyond the value.
-type kv struct {
-	key gcl.State
-	val int32
-}
-
-// prepare implements Prepare's key derivation for both store variants.
-// The canonical key is an owned allocation by design: the parallel
-// engine's candidates carry their keys from the expand phase across the
-// chunk barrier into the merge pass, so a pooled probe buffer (copying
-// only on Insert) would be overwritten while still referenced.
+// prepare implements Prepare's key derivation for the generic stores. The
+// key is an owned allocation whenever it differs from s; the stores copy
+// what they keep, so callers may recycle it after the call.
 func prepare(p *gcl.Prog, plan Plan, s gcl.State, extra []int32) (uint64, gcl.State) {
 	switch {
 	case plan.Symmetry:
@@ -125,52 +149,105 @@ func prepare(p *gcl.Prog, plan Plan, s gcl.State, extra []int32) (uint64, gcl.St
 	return key.Fingerprint(), key
 }
 
-// bucketLookup scans one fingerprint bucket for the key.
-func bucketLookup(bucket []kv, key gcl.State) (int32, bool) {
-	for _, e := range bucket {
-		if e.key.Equal(key) {
-			return e.val, true
-		}
-	}
-	return -1, false
+// slabBlockWords bounds a full slab block in int32 words (256 KiB): large
+// enough that the block list stays short, small enough that a slab's
+// partly filled last block wastes little.
+const slabBlockWords = 1 << 16
+
+// slabFirstRows is the row capacity a slab's first block starts with; it
+// doubles up to the full block size, so the many small stores of the
+// refinement search stay small.
+const slabFirstRows = 64
+
+// slab is append-only, stride-addressed row storage: row i occupies stride
+// words of block i>>shift. Full blocks never move, so growth copies nothing
+// and a row slice stays valid for the life of the slab. The first block
+// grows by reallocation until it is full; a slice taken from it before that
+// still reads the same content, because state and key words are never
+// written after the push (stores rewrite only their value words, always
+// through a fresh row). The element type is int32 and the blocks hold no
+// pointers, so the garbage collector never scans row data.
+type slab struct {
+	stride int
+	shift  uint // log2 of the rows per block
+	blocks [][]int32
+	n      int32
+	// freed counts the leading blocks release has dropped.
+	freed int
 }
 
-// bucketInsert inserts or replaces the key's entry.
-func bucketInsert(bucket []kv, key gcl.State, val int32) []kv {
-	for i := range bucket {
-		if bucket[i].key.Equal(key) {
-			bucket[i].val = val
-			return bucket
-		}
-	}
-	return append(bucket, kv{key: key, val: val})
+// makeSlab returns an empty slab of the given row width; each full block
+// holds the largest power-of-two row count that fits slabBlockWords.
+func makeSlab(stride int) slab {
+	rows := slabBlockWords / max(stride, 1)
+	return slab{stride: stride, shift: uint(bits.Len(uint(rows)) - 1)}
 }
 
-// fpEntry packs the probe-relevant words of one fpTable slot — fingerprint
-// and value — into 16 bytes, four slots per cache line, so a probe walks a
-// single scalar array and only touches the pointer-carrying (GC-scanned)
-// keys array on a fingerprint match. fp == 0 marks an empty slot; the one
-// real fingerprint equal to 0 is remapped to 1 on entry (the full key
-// comparison disambiguates the two colliding fingerprints, so exactness is
-// unchanged).
-type fpEntry struct {
+// len returns the number of rows pushed.
+func (s *slab) len() int32 { return s.n }
+
+// row returns row i, aliasing the slab.
+func (s *slab) row(i int32) gcl.State {
+	blk := s.blocks[i>>s.shift]
+	off := int(i&(1<<s.shift-1)) * s.stride
+	return gcl.State(blk[off : off+s.stride : off+s.stride])
+}
+
+// push copies x, followed by the tail words, into a new row and returns
+// its index.
+func (s *slab) push(x gcl.State, tail ...int32) int32 {
+	if len(x)+len(tail) != s.stride {
+		panic("mc: slab row width mismatch")
+	}
+	i := s.n
+	b := int(i >> s.shift)
+	full := s.stride << s.shift
+	if b == len(s.blocks) {
+		words := full
+		if b == 0 {
+			words = min(full, s.stride*slabFirstRows)
+		}
+		s.blocks = append(s.blocks, make([]int32, 0, words))
+	}
+	blk := s.blocks[b]
+	if len(blk)+s.stride > cap(blk) {
+		// Only the first block grows, doubling up to the full size.
+		grown := make([]int32, len(blk), min(2*cap(blk), full))
+		copy(grown, blk)
+		blk = grown
+	}
+	s.blocks[b] = append(append(blk, x...), tail...)
+	s.n++
+	return i
+}
+
+// release drops every block whose rows all lie below row `below`; those
+// rows must not be read again.
+func (s *slab) release(below int32) {
+	for s.freed < int(below>>s.shift) {
+		s.blocks[s.freed] = nil
+		s.freed++
+	}
+}
+
+// fpSlot is one fpTable slot: a fingerprint and the row it indexes, stored
+// as row+1 so the zero slot marks an empty position and every fingerprint,
+// 0 included, is a legal key. Sixteen bytes, four slots per cache line, no
+// pointers.
+type fpSlot struct {
 	fp  uint64
-	val int32
+	ref int32 // row+1; 0 = empty
 }
 
-// fpTable is the exact stores' hash table: open addressing with linear
-// probing over flat arrays, replacing the historical map[uint64][]kv
-// buckets. A probe matches on fingerprint first (one integer compare) and
-// confirms with the full key comparison, so exactness is unchanged. The
-// flat layout wins twice on the hot path: a probe is one
-// cache-line-friendly array walk instead of a map access plus a
-// bucket-slice chase, and growth rehashes in place with zero per-entry
-// allocations. NOT goroutine-safe; callers lock (or run single-threaded).
+// fpTable is the hashed index under every store tier: open addressing with
+// linear probing over one flat slot array. It stores no keys: callers pass
+// an eq function that compares the probe key with a row's key, and eq runs
+// only on a fingerprint match. Growth rehashes the slots without touching
+// a key. NOT goroutine-safe; callers lock (or run single-threaded).
 type fpTable struct {
-	ents []fpEntry
-	keys []gcl.State
-	n    int
-	mask uint64
+	slots []fpSlot
+	n     int
+	mask  uint64
 	// limit is the occupancy at which the table grows (0.7 load factor —
 	// past that linear-probe clusters lengthen quickly).
 	limit int
@@ -179,225 +256,249 @@ type fpTable struct {
 // fpTableMinSize is the initial slot count (power of two).
 const fpTableMinSize = 1024
 
-// fpShardBits is the number of low fingerprint bits the sharded store
-// consumes for shard selection (shardCount == 1<<fpShardBits). Home slots
+// fpShardBits is the number of low fingerprint bits the sharded stores
+// consume for shard selection (shardCount == 1<<fpShardBits). Home slots
 // are derived from the bits ABOVE them: within one shard every fingerprint
 // agrees on its low 6 bits, so homing on fp&mask would leave only every
 // 64th slot reachable as a home position and chain insertions into long
-// probe clusters (measured ~45-slot average probes on the bakerypp n4m2
-// graph). Homing on fp>>fpShardBits restores uniform slot occupancy; the
-// unsharded stores share the derivation — fmix64-finalized fingerprints
-// are equidistributed in every bit range, so it costs them nothing.
+// probe clusters. Homing on fp>>fpShardBits restores uniform slot
+// occupancy; the unsharded stores share the derivation — fmix64-finalized
+// fingerprints are equidistributed in every bit range, so it costs them
+// nothing.
 const fpShardBits = 6
 
-// homeSlot returns the initial probe position for a (nonzero) fingerprint.
+// homeSlot returns the initial probe position for a fingerprint.
 func (t *fpTable) homeSlot(fp uint64) uint64 { return (fp >> fpShardBits) & t.mask }
 
 func (t *fpTable) init(size int) {
-	t.ents = make([]fpEntry, size)
-	t.keys = make([]gcl.State, size)
+	t.slots = make([]fpSlot, size)
 	t.mask = uint64(size - 1)
 	t.limit = size * 7 / 10
 	t.n = 0
 }
 
-func (t *fpTable) lookup(fp uint64, key gcl.State) (int32, bool) {
-	if t.ents == nil {
-		return -1, false
-	}
-	if fp == 0 {
-		fp = 1
-	}
+// walk follows fp's probe sequence. It returns the slot of the row whose
+// key eq accepts and true, or the empty slot that ends the sequence and
+// false.
+func (t *fpTable) walk(fp uint64, eq func(row int32) bool) (uint64, bool) {
 	for i := t.homeSlot(fp); ; i = (i + 1) & t.mask {
-		e := t.ents[i]
-		if e.fp == 0 {
-			return -1, false
+		s := t.slots[i]
+		if s.ref == 0 {
+			return i, false
 		}
-		if e.fp == fp && t.keys[i].Equal(key) {
-			return e.val, true
+		if s.fp == fp && eq(s.ref-1) {
+			return i, true
 		}
 	}
 }
 
-// insert stores val under (fp, key), replacing the value if the key is
-// already present. The key slice is retained.
-func (t *fpTable) insert(fp uint64, key gcl.State, val int32) {
-	if t.ents == nil {
+// find returns the row under fp whose key eq accepts.
+func (t *fpTable) find(fp uint64, eq func(row int32) bool) (int32, bool) {
+	if t.slots == nil {
+		return -1, false
+	}
+	i, ok := t.walk(fp, eq)
+	return t.slots[i].ref - 1, ok
+}
+
+// findOrInsert probes once: it returns the row under fp whose key eq
+// accepts and false, or claims the empty slot the probe reached for row
+// and returns row and true.
+func (t *fpTable) findOrInsert(fp uint64, eq func(row int32) bool, row int32) (int32, bool) {
+	if t.slots == nil {
 		t.init(fpTableMinSize)
 	} else if t.n >= t.limit {
 		t.grow()
 	}
-	if fp == 0 {
-		fp = 1
+	i, ok := t.walk(fp, eq)
+	if ok {
+		return t.slots[i].ref - 1, false
 	}
-	for i := t.homeSlot(fp); ; i = (i + 1) & t.mask {
-		e := &t.ents[i]
-		if e.fp == 0 {
-			e.fp = fp
-			e.val = val
-			t.keys[i] = key
-			t.n++
-			return
-		}
-		if e.fp == fp && t.keys[i].Equal(key) {
-			e.val = val
-			return
-		}
-	}
+	t.slots[i] = fpSlot{fp: fp, ref: row + 1}
+	t.n++
+	return row, true
 }
 
-// grow quadruples the table: rehashing copies every live entry, so fewer,
+// grow quadruples the table: rehashing copies every live slot, so fewer,
 // larger steps cost less total zeroing and probing than doubling would; the
 // transient low load factor after a step is cheap by comparison.
 func (t *fpTable) grow() {
-	oldEnts, oldKeys := t.ents, t.keys
-	t.init(len(oldEnts) * 4)
-	for i, e := range oldEnts {
-		if e.fp == 0 {
-			continue
-		}
-		for j := t.homeSlot(e.fp); ; j = (j + 1) & t.mask {
-			if t.ents[j].fp == 0 {
-				t.ents[j] = e
-				t.keys[j] = oldKeys[i]
-				t.n++
-				break
-			}
+	old := t.slots
+	t.init(len(old) * 4)
+	for _, s := range old {
+		if s.ref != 0 {
+			i, _ := t.walk(s.fp, func(int32) bool { return false })
+			t.slots[i] = s
+			t.n++
 		}
 	}
 }
 
-// seqStore is the unsharded implementation: one table, no locks.
-type seqStore struct {
-	p    *gcl.Prog
-	plan Plan
-	t    fpTable
-}
-
-func newSeqStore(p *gcl.Prog, plan Plan) *seqStore {
-	return &seqStore{p: p, plan: plan}
-}
-
-func (st *seqStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
-	return prepare(st.p, st.plan, s, extra)
-}
-
-func (st *seqStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
-	return st.t.lookup(fp, key)
-}
-
-func (st *seqStore) Insert(fp uint64, key gcl.State, val int32) {
-	st.t.insert(fp, key, val)
-}
-
-// shardCount is the number of stripes in the sharded store; a power of two
+// shardCount is the number of stripes in the sharded stores; a power of two
 // so shard selection is a mask. 64 stripes keep lock contention negligible
 // up to far more workers than any current machine provides.
 const shardCount = 64
 
-// storeShard is one stripe: an fpTable guarded by a read-write mutex.
-// The parallel engine's drain pass bypasses the mutex entirely — under
-// owner-computes sharding each shard's table is read by exactly one owner
-// goroutine per phase, and the sole writer (the merge pass) runs strictly
-// between phases — so the lock only serializes the generic Lookup/Insert
-// interface for callers outside the engine's barrier protocol (the
-// monitor and memo searches, tests).
-type storeShard struct {
-	mu sync.RWMutex
-	t  fpTable
+// rowStore is the engines' exact store: table rows are state numbers and
+// keys are read from keys — the explorer's state slab, or, when own is set
+// (symmetry), the store's canonical-key slab, pushed in step with the
+// numbering. tabs holds one table (sequential engine) or shardCount tables
+// selected by fingerprint (parallel engine).
+type rowStore struct {
+	keys *slab
+	own  bool
+	tabs []fpTable
 }
 
-// shardedStore stripes the tables over shardCount shards selected by
-// fingerprint.
-type shardedStore struct {
-	p    *gcl.Prog
-	plan Plan
-	// merging marks the single-threaded merge pass: BeginMerge/EndMerge
-	// bracket it, and while set, Insert and Lookup skip the shard mutexes
-	// entirely — the per-insert lock/unlock pair was pure overhead there,
-	// and batching the whole chunk's insertions into one unlocked pass
-	// amortizes synchronization to two flag writes per chunk. The flag
-	// flips only while workers are quiescent (between expansion phases),
-	// and goroutine spawn/join edges order it against worker reads, so
-	// the default locked behavior outside merges is unchanged.
-	merging bool
-	shards  [shardCount]storeShard
+func (st *rowStore) table(fp uint64) *fpTable {
+	return &st.tabs[fp&uint64(len(st.tabs)-1)]
 }
 
-// mergeBatcher is implemented by stores whose Insert path can batch under
-// the parallel engine's chunk barrier (the sharded exact store). The merge
-// pass brackets its single-threaded insertions with BeginMerge/EndMerge.
-type mergeBatcher interface {
-	BeginMerge()
-	EndMerge()
+func (st *rowStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
+	return st.table(fp).find(fp, func(r int32) bool { return st.keys.row(r).Equal(key) })
 }
 
-func newShardedStore(p *gcl.Prog, plan Plan) *shardedStore {
-	return &shardedStore{p: p, plan: plan}
+// FindOrInsert numbers key as row when it is fresh. row must be the next
+// state number: without symmetry the engine pushes that state onto the slab
+// the keys are read from before the next probe.
+func (st *rowStore) FindOrInsert(fp uint64, key gcl.State, row int32) (int32, bool) {
+	r, fresh := st.table(fp).findOrInsert(fp, func(r int32) bool { return st.keys.row(r).Equal(key) }, row)
+	if fresh && st.own && st.keys.push(key) != row {
+		panic("mc: canonical-key row out of step with the state numbering")
+	}
+	return r, fresh
 }
 
-func (st *shardedStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
+// valTable is an fpTable whose row r is row r of a slab holding the row's
+// key words (or a reference to the key) followed by its value word — the
+// layout of the generic, compact and spill stores.
+type valTable struct {
+	mu   sync.RWMutex // held by probe when locked; keyStore locks its shard instead
+	t    fpTable
+	rows slab
+}
+
+// probeOp selects what valTable.probe does.
+type probeOp uint8
+
+const (
+	opLookup       probeOp = iota // report the value; change nothing
+	opFindOrInsert                // insert on a miss; keep the value on a hit
+	opInsert                      // insert on a miss; replace the value on a hit
+)
+
+// probe runs op on the row under fp whose key eq accepts, returning the
+// row's value (-1 for a lookup miss) and whether the key was present
+// before the call. An insert pushes keyWords() followed by val as the new
+// row.
+func (vt *valTable) probe(locked bool, op probeOp, fp uint64, eq func(int32) bool, keyWords func() gcl.State, val int32) (int32, bool) {
+	if locked && op == opLookup {
+		vt.mu.RLock()
+		defer vt.mu.RUnlock()
+	} else if locked {
+		vt.mu.Lock()
+		defer vt.mu.Unlock()
+	}
+	if op == opLookup {
+		r, ok := vt.t.find(fp, eq)
+		if !ok {
+			return -1, false
+		}
+		return vt.rows.row(r)[vt.rows.stride-1], true
+	}
+	r, fresh := vt.t.findOrInsert(fp, eq, vt.rows.len())
+	if fresh {
+		vt.rows.push(keyWords(), val)
+		return val, false
+	}
+	v := &vt.rows.row(r)[vt.rows.stride-1]
+	if op == opInsert {
+		*v = val
+	}
+	return *v, true
+}
+
+// keyStore is the generic exact store: per shard, one valTable per key
+// width, whose rows hold the key words and the value. The sharded variant
+// locks each shard with a read-write mutex, so it is safe for concurrent
+// use; the unsharded one is not.
+type keyStore struct {
+	p      *gcl.Prog
+	plan   Plan
+	locked bool
+	shards []keyShard
+}
+
+type keyShard struct {
+	mu   sync.RWMutex
+	sets []*valTable
+}
+
+func newKeyStore(p *gcl.Prog, sharded bool, plan Plan) *keyStore {
+	st := &keyStore{p: p, plan: plan, locked: sharded, shards: make([]keyShard, 1)}
+	if sharded {
+		st.shards = make([]keyShard, shardCount)
+	}
+	return st
+}
+
+func (st *keyStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {
 	return prepare(st.p, st.plan, s, extra)
 }
 
-// BeginMerge enters the single-threaded merge pass: shard mutexes are
-// elided until EndMerge. Callers must guarantee no concurrent access.
-func (st *shardedStore) BeginMerge() { st.merging = true }
-
-// EndMerge re-enables shard locking before workers resume.
-func (st *shardedStore) EndMerge() { st.merging = false }
-
-func (st *shardedStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
-	sh := &st.shards[fp&(shardCount-1)]
-	if st.merging {
-		return sh.t.lookup(fp, key)
+func (st *keyStore) probe(op probeOp, fp uint64, key gcl.State, val int32) (int32, bool) {
+	sh := &st.shards[fp&uint64(len(st.shards)-1)]
+	if st.locked && op == opLookup {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+	} else if st.locked {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
 	}
-	sh.mu.RLock()
-	idx, ok := sh.t.lookup(fp, key)
-	sh.mu.RUnlock()
-	return idx, ok
+	var vt *valTable
+	for _, set := range sh.sets {
+		if set.rows.stride == len(key)+1 {
+			vt = set
+		}
+	}
+	if vt == nil {
+		if op == opLookup {
+			return -1, false
+		}
+		vt = &valTable{rows: makeSlab(len(key) + 1)}
+		sh.sets = append(sh.sets, vt)
+	}
+	eq := func(r int32) bool { return vt.rows.row(r)[:len(key)].Equal(key) }
+	return vt.probe(false, op, fp, eq, func() gcl.State { return key }, val)
 }
 
-// Insert must only be called from the single-threaded merge pass.
-func (st *shardedStore) Insert(fp uint64, key gcl.State, val int32) {
-	sh := &st.shards[fp&(shardCount-1)]
-	if st.merging {
-		sh.t.insert(fp, key, val)
-		return
-	}
-	sh.mu.Lock()
-	sh.t.insert(fp, key, val)
-	sh.mu.Unlock()
+func (st *keyStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
+	return st.probe(opLookup, fp, key, -1)
 }
+
+func (st *keyStore) FindOrInsert(fp uint64, key gcl.State, val int32) (int32, bool) {
+	v, found := st.probe(opFindOrInsert, fp, key, val)
+	return v, !found
+}
+
+func (st *keyStore) Insert(fp uint64, key gcl.State, val int32) { st.probe(opInsert, fp, key, val) }
 
 // hiSeedBase seeds the compact store's second fingerprint word; xor-ing the
 // run seed in re-rolls both words together. Matches gcl.Fingerprint128's
 // high-word seed so a seed-0 wide key IS the state's Fingerprint128.
 const hiSeedBase = 0x243f6a8885a308d3
 
-// centry is one compact-store entry: the second fingerprint word (0 in
-// 64-bit mode) and the value. The key vector itself is gone — that is the
-// compression.
-type centry struct {
-	hi  uint64
-	val int32
-}
-
-// compactShard is one stripe of the compact store.
-type compactShard struct {
-	mu sync.RWMutex
-	m  map[uint64][]centry
-}
-
 // compactStore is hash compaction (TLC's default trust-the-fingerprint
 // scheme, SPIN -DHC): states are represented by a 64- or 128-bit
-// fingerprint only. A fingerprint collision makes a fresh state look
-// visited — a false HIT, silently omitting the state — so verdicts are
-// probabilistic; Report bounds the expected omissions with the birthday
-// estimate. False MISSES cannot happen: an inserted key always probes back
-// to the same fingerprint (the fuzz target FuzzCompactStoreNoFalseMiss
-// pins this). Concurrent-safe via striped RWMutexes, so it serves either
-// engine.
+// fingerprint only. Each shard's table is keyed on the first fingerprint
+// word, and its rows hold the second word (128-bit mode only, as two int32
+// halves) and the value — the key vector itself is gone, which is the
+// compression. A fingerprint collision makes a fresh state look visited — a
+// false HIT, silently omitting the state — so verdicts are probabilistic;
+// Report bounds the expected omissions with the birthday estimate. False
+// MISSES cannot happen: an inserted key always probes back to the same
+// fingerprint (the fuzz target FuzzCompactStoreNoFalseMiss pins this).
+// Concurrent-safe via striped RWMutexes, so it serves either engine.
 type compactStore struct {
 	p       *gcl.Prog
 	plan    Plan
@@ -406,17 +507,21 @@ type compactStore struct {
 	shadow  StateStore // exact cross-check when Plan.Store.Shadow
 	diverge atomic.Int64
 	entries atomic.Int64
-	shards  [shardCount]compactShard
+	shards  [shardCount]valTable
 }
 
 func newCompactStore(p *gcl.Prog, plan Plan) *compactStore {
 	st := &compactStore{p: p, plan: plan,
 		wide: plan.Store.CompactBits == 128, seed: plan.Store.Seed}
+	stride := 1
+	if st.wide {
+		stride = 3
+	}
 	for i := range st.shards {
-		st.shards[i].m = map[uint64][]centry{}
+		st.shards[i].rows = makeSlab(stride)
 	}
 	if plan.Store.Shadow {
-		st.shadow = newShardedStore(p, plan)
+		st.shadow = newKeyStore(p, true, plan)
 	}
 	return st
 }
@@ -439,53 +544,42 @@ func (st *compactStore) slots(fp uint64, key gcl.State) (lo, hi uint64) {
 	return lo, hi
 }
 
-func (st *compactStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
+// probe runs op on the compact table and mirrors it on the exact shadow:
+// lookups and find-or-inserts count a divergence when the shadow's answer
+// differs, and every insertion is repeated there (Shadow runs only).
+func (st *compactStore) probe(op probeOp, fp uint64, key gcl.State, val int32) (int32, bool) {
 	lo, hi := st.slots(fp, key)
 	sh := &st.shards[lo&(shardCount-1)]
-	sh.mu.RLock()
-	val, ok := int32(-1), false
-	for _, e := range sh.m[lo] {
-		if e.hi == hi {
-			val, ok = e.val, true
-			break
-		}
-	}
-	sh.mu.RUnlock()
+	words := [2]int32{int32(hi), int32(hi >> 32)}
+	n := sh.rows.stride - 1 // second-word halves per row: 2, or 0 in 64-bit mode
+	eq := func(r int32) bool { return n == 0 || [2]int32(sh.rows.row(r)[:2]) == words }
+	got, found := sh.probe(true, op, lo, eq, func() gcl.State {
+		st.entries.Add(1)
+		return words[:n]
+	}, val)
 	if st.shadow != nil {
-		sval, sok := st.shadow.Lookup(fp, key)
-		if sok != ok || (ok && sval != val) {
-			st.diverge.Add(1)
+		if op != opInsert {
+			if sval, sok := st.shadow.Lookup(fp, key); sok != found || (found && sval != got) {
+				st.diverge.Add(1)
+			}
+		}
+		if op == opInsert || (op == opFindOrInsert && !found) {
+			st.shadow.Insert(fp, key, val)
 		}
 	}
-	return val, ok
+	return got, found
 }
 
-func (st *compactStore) Insert(fp uint64, key gcl.State, val int32) {
-	lo, hi := st.slots(fp, key)
-	sh := &st.shards[lo&(shardCount-1)]
-	sh.mu.Lock()
-	bucket := sh.m[lo]
-	replaced := false
-	for i := range bucket {
-		if bucket[i].hi == hi {
-			bucket[i].val = val
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		sh.m[lo] = append(bucket, centry{hi: hi, val: val})
-		st.entries.Add(1)
-	}
-	sh.mu.Unlock()
-	if st.shadow != nil {
-		// The exact shadow retains its key slice, but engines hand lossy
-		// tiers transient scratch keys (recycled per chunk) — copy before
-		// forwarding. Shadow mode is a validation tool; the allocation is
-		// acceptable there.
-		st.shadow.Insert(fp, append(gcl.State(nil), key...), val)
-	}
+func (st *compactStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
+	return st.probe(opLookup, fp, key, -1)
 }
+
+func (st *compactStore) FindOrInsert(fp uint64, key gcl.State, val int32) (int32, bool) {
+	v, found := st.probe(opFindOrInsert, fp, key, val)
+	return v, !found
+}
+
+func (st *compactStore) Insert(fp uint64, key gcl.State, val int32) { st.probe(opInsert, fp, key, val) }
 
 func (st *compactStore) Report() StoreReport {
 	k := float64(st.entries.Load())
@@ -572,6 +666,16 @@ func (st *bitstateStore) Lookup(fp uint64, key gcl.State) (int32, bool) {
 		return -1, false
 	}
 	return -1, true
+}
+
+// FindOrInsert is Lookup then Insert: one probe is counted per call, as
+// the omission bound assumes.
+func (st *bitstateStore) FindOrInsert(fp uint64, key gcl.State, val int32) (int32, bool) {
+	if _, ok := st.Lookup(fp, key); ok {
+		return -1, false
+	}
+	st.Insert(fp, key, val)
+	return val, true
 }
 
 func (st *bitstateStore) Insert(fp uint64, key gcl.State, _ int32) {

@@ -51,9 +51,10 @@ func storeVariants(t *testing.T) []storeVariant {
 	return []storeVariant{
 		{"seq", false, Plan{Store: exact}, true, true, false},
 		{"sharded", true, Plan{Store: exact}, true, true, true},
-		// The orbit-keyed plans ride the sharded representation here — that
-		// is the pairing the parallel engine builds; their seq pairing is
-		// the same bucket code the "seq" row already covers.
+		// The orbit-keyed plans ride the sharded generic store here; their
+		// seq pairing is the same table code the "seq" row already covers.
+		// The engines' row-keyed store is covered by the engine parity
+		// suites and TestStoreExactUnderForcedCollisions.
 		{"symmetry", true, Plan{Symmetry: true, Store: exact}, true, false, true},
 		{"pinned", true, Plan{Pinned: []int{0, 1}, Store: exact}, true, true, true},
 		{"spill", false, Plan{Store: mustStore(t, "exact,spill")}, true, true, true},
@@ -132,7 +133,7 @@ func TestStoreConformanceContract(t *testing.T) {
 	}
 	for _, v := range storeVariants(t) {
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.sharded, v.plan, nil)
+			st := newStateStore(p, v.sharded, v.plan)
 			states := dedupeByKey(st, allStates)
 			// Empty store: every probe misses.
 			for _, s := range states[:32] {
@@ -209,7 +210,7 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 	b := p.Clone(base)
 	p.SetShared(b, "number", 2, 2) // orbit-mate: process 2 holds it
 
-	sym := newStateStore(p, false, Plan{Symmetry: true, Store: StoreOptions{}}, nil)
+	sym := newStateStore(p, false, Plan{Symmetry: true, Store: StoreOptions{}})
 	fpA, keyA := sym.Prepare(a)
 	fpB, keyB := sym.Prepare(b)
 	if fpA != fpB || !keyA.Equal(keyB) {
@@ -218,7 +219,7 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 
 	// Pinning 1 and 2 keeps them apart: swapping their roles is no longer
 	// in the subgroup the pinned store canonicalizes over.
-	pinned := newStateStore(p, false, Plan{Pinned: []int{1, 2}, Store: StoreOptions{}}, nil)
+	pinned := newStateStore(p, false, Plan{Pinned: []int{1, 2}, Store: StoreOptions{}})
 	fpA, keyA = pinned.Prepare(a)
 	fpB, keyB = pinned.Prepare(b)
 	if fpA == fpB && keyA.Equal(keyB) {
@@ -241,7 +242,7 @@ func TestStoreConformanceConcurrent(t *testing.T) {
 			continue
 		}
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.sharded, v.plan, nil)
+			st := newStateStore(p, v.sharded, v.plan)
 			states := dedupeByKey(st, allStates)
 			// Phase 1: disjoint slices, racing inserts plus racing reads.
 			var wg sync.WaitGroup

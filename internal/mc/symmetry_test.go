@@ -264,7 +264,7 @@ func TestStateStoreBasics(t *testing.T) {
 	s3 := p.Clone(s1)
 	p.SetShared(s3, "number", 2, 2) // orbit-mate of s2
 	for _, sharded := range []bool{false, true} {
-		st := newStateStore(p, sharded, Plan{}, nil)
+		st := newStateStore(p, sharded, Plan{})
 		fp1, k1 := st.Prepare(s1)
 		if _, ok := st.Lookup(fp1, k1); ok {
 			t.Fatal("empty store reported a hit")
@@ -287,7 +287,7 @@ func TestStateStoreBasics(t *testing.T) {
 			t.Fatal("extra-word key collided with the bare key")
 		}
 
-		sym := newStateStore(p, sharded, Plan{Symmetry: true}, nil)
+		sym := newStateStore(p, sharded, Plan{Symmetry: true})
 		fpS2, kS2 := sym.Prepare(s2)
 		fpS3, kS3 := sym.Prepare(s3)
 		if fpS2 != fpS3 || !kS2.Equal(kS3) {
