@@ -45,7 +45,7 @@ func runMain() int {
 	var (
 		run      = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		workers  = flag.Int("workers", 0, "parallel model-checking goroutines (0 = sequential, -1 = GOMAXPROCS; FCFS/refinement checks stay sequential)")
+		workers  = flag.Int("workers", 0, "model-checking expansion goroutines (0 or 1 = inline on one goroutine, -1 = GOMAXPROCS; FCFS/refinement checks stay sequential)")
 		symmetry = flag.Bool("symmetry", false, "process-symmetry reduction for the safety-check experiments (specs declaring full symmetry explore one state per orbit; verdicts unchanged)")
 		por      = flag.Bool("por", false, "ample-set partial-order reduction for the safety-check experiments (composes with -symmetry; verdicts unchanged)")
 		store    = flag.String("store", "", "visited-set tier for the store-aware experiments (E17) and -bench-json: exact|compact[64|128]|bitstate, with ,spill and ,shadow modifiers; empty = experiment defaults")

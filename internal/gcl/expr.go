@@ -67,7 +67,8 @@ func Self() Expr {
 // the successor hot loop, and the map[string]varInfo lookup inside
 // Prog.Local/Shared dominated expression cost in profiles. Each closure
 // carries its own cache behind an atomic pointer — a closure is shared by
-// the parallel engine's workers, so a plain captured variable would race.
+// the model checker's expansion workers, so a plain captured variable would
+// race.
 // In practice an expression only ever meets one built program, so the
 // cache hits permanently after the first evaluation; a mismatched program
 // (tests juggling specs) just re-resolves through the panicking accessor.

@@ -30,7 +30,8 @@ type MCBenchRecord struct {
 	// "fcfs" (monitor product). For "starve" the States column counts
 	// graph states; for "fcfs", monitor-product states.
 	Analysis string `json:"analysis,omitempty"`
-	// Workers is the engine setting used (0 sequential, -1 GOMAXPROCS).
+	// Workers is the mc.Options.Workers setting used (0 or 1 inline on one
+	// goroutine, -1 GOMAXPROCS).
 	Workers int `json:"workers"`
 	// Reduction is the requested reduction mode: "none", "symmetry",
 	// "por", or "symmetry+por".
@@ -179,7 +180,7 @@ func scalingWorkerSuffix(w int) string {
 	return fmt.Sprintf("w%d", w)
 }
 
-// appendScalingBench measures how the parallel engine scales with worker
+// appendScalingBench measures how the exploration loop scales with worker
 // count: an unreduced safety check of two mid-size cells — big enough that
 // the chunked expand/drain machinery dominates, small enough that four
 // worker settings stay cheap — at each scalingWorkers setting. The rows

@@ -21,9 +21,9 @@ package mc
 //     no action is ignored forever, not that every cycle survives);
 //   - safety invariants with declared reads   → POR as before.
 //
-// The plan is engine-independent: both the sequential and the parallel
-// engine execute the same plan and stay byte-identical for any Workers
-// setting.
+// The plan is engine-independent: the exploration loop executes the same
+// plan on its inline and mesh expansion paths and stays byte-identical for
+// any Workers setting.
 
 import (
 	"fmt"

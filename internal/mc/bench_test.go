@@ -46,9 +46,9 @@ func BenchmarkBuildGraph(b *testing.B) {
 	}
 }
 
-// workerVariants are the engine configurations the comparative benchmarks
-// sweep: the sequential engine, and the parallel engine at 1 worker (engine
-// overhead), 4 workers, and GOMAXPROCS workers.
+// workerVariants are the Workers settings the comparative benchmarks
+// sweep: the inline path (0), and the mesh path at 4 and GOMAXPROCS
+// workers.
 func workerVariants() []struct {
 	name    string
 	workers int
@@ -56,7 +56,7 @@ func workerVariants() []struct {
 	vs := []struct {
 		name    string
 		workers int
-	}{{"seq", 0}, {"par1", 1}, {"par4", 4}}
+	}{{"seq", 0}, {"par4", 4}}
 	if n := runtime.GOMAXPROCS(0); n != 1 && n != 4 {
 		vs = append(vs, struct {
 			name    string
@@ -66,10 +66,10 @@ func workerVariants() []struct {
 	return vs
 }
 
-// BenchmarkBuildGraphWorkers compares sequential and parallel graph
-// construction throughput (states/sec) across the three algorithm families
-// the determinism tests cover. Both engines build identical graphs, so the
-// metric isolates engine speed.
+// BenchmarkBuildGraphWorkers compares inline and mesh graph construction
+// throughput (states/sec) across the three algorithm families the
+// determinism tests cover. Both paths build identical graphs, so the
+// metric isolates expansion speed.
 func BenchmarkBuildGraphWorkers(b *testing.B) {
 	models := []struct {
 		name string
@@ -99,10 +99,10 @@ func BenchmarkBuildGraphWorkers(b *testing.B) {
 // BenchmarkExploreBakery8 measures raw exploration throughput on an
 // 8-process Bakery++ model. The full space is far beyond reach, so the run
 // is bounded to the first 150k states — enough BFS levels that the frontier
-// is tens of thousands of states wide and the parallel engine's expansion
-// phase dominates. On a multi-core runner the parallel variants should beat
-// sequential well past the 1.5x mark; on a single hardware thread they
-// mostly measure engine overhead.
+// is tens of thousands of states wide and the mesh path's expansion stage
+// dominates. On a multi-core runner the mesh variants should beat the
+// inline path well past the 1.5x mark; on a single hardware thread they
+// mostly measure mesh overhead.
 func BenchmarkExploreBakery8(b *testing.B) {
 	const bound = 150_000
 	for _, v := range workerVariants() {

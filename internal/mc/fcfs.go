@@ -113,7 +113,10 @@ func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error
 	states := makeSlab(p.StateLen())
 	states.push(p.InitState())
 	nodes := []node{{phase: 0, parent: -1, byPid: -1}}
-	seen := newStateStore(p, false, plan)
+	seen, err := newStateStore(p, plan)
+	if err != nil {
+		return nil, err
+	}
 	fp0, key0 := seen.Prepare(states.row(0), 0)
 	seen.Insert(fp0, key0, 0)
 

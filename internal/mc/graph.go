@@ -59,62 +59,56 @@ func (g *Graph) State(i int) gcl.State { return g.expl.stateAt(int32(i)) }
 // its transition graph. Unlike Check it does not stop at invariant
 // violations (Summary.Violation still records the first one found); it
 // fails only if the state bound is exceeded, since an incomplete graph
-// would make cycle analysis meaningless. Options.Workers selects between
-// the sequential engine below and the parallel engine; state numbering and
-// edge order are identical either way. The reduction plan comes from the
-// pipeline's GraphAnalysis declaration: POR never applies (the graph
-// analyses — SCCs, starvation and no-progress cycles — quantify over every
-// interleaving, which a partial-order-reduced graph by design omits), but
-// symmetry does — the result is then the QUOTIENT graph, one state per
-// encountered orbit, with permutation-annotated edges the cycle analyses
-// lift concrete pid identities through (quotient.go).
+// would make cycle analysis meaningless, or if the spill arena cannot be
+// created. Its per-head step appends every successor's edge; state
+// numbering and edge order are identical for any Options.Workers. The
+// reduction plan comes from the pipeline's GraphAnalysis declaration: POR
+// never applies (the graph analyses — SCCs, starvation and no-progress
+// cycles — quantify over every interleaving, which a partial-order-reduced
+// graph by design omits), but symmetry does — the result is then the
+// QUOTIENT graph, one state per encountered orbit, with
+// permutation-annotated edges the cycle analyses lift concrete pid
+// identities through (quotient.go).
 func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
+	start := time.Now()
 	plan, err := planFor(p, opts, GraphAnalysis{Invariants: opts.Invariants})
 	if err != nil {
 		return nil, err
 	}
-	if opts.Workers != 0 {
-		return buildGraphParallel(p, opts, plan)
+	e, err := newExplorer(p, opts, plan)
+	if err != nil {
+		return nil, err
 	}
-	start := time.Now()
-	e := newExplorer(p, opts, false, plan)
 	res := &Result{Prog: p, Symmetry: e.symmetry}
-	g := &Graph{Summary: res, expl: e}
-
-	init := p.InitState()
-	e.add(&e.wc, init, -1, -1, crashLabelIdx)
-	g.Adj = append(g.Adj, nil)
-	if name, bad := e.checkInvariants(init); bad {
-		t := e.trace(0)
-		res.Violation = &Violation{Invariant: name, Trace: t}
+	g := &Graph{Summary: res, expl: e, Adj: [][]Edge{nil}}
+	if v := e.start(); v >= 0 {
+		res.Violation = e.violation(v, 0)
 	}
-
-	for head := 0; head < e.numStates(); head++ {
+	complete := e.explore(func(head int32, x *expansion) bool {
 		if e.numStates() > e.opts.MaxStates {
-			return nil, fmt.Errorf("mc: %s: state bound %d exceeded while building graph",
-				p.Name, e.opts.MaxStates)
+			return false
 		}
-		e.wc.buf.Reset()
-		e.wc.slab.Reset()
-		s := e.headState(&e.wc, int32(head))
-		res.Depth = int(e.depthOf(int32(head)))
-		succs, _, _, _ := e.successors(s, &e.wc)
-		e.prepBuf = growPreps(e.prepBuf, len(succs))
-		e.prepSuccs(&e.wc, succs, e.prepBuf)
-		for i, sc := range succs {
+		res.Depth = int(e.depthOf(head))
+		for i := range x.succs {
 			res.Transitions++
-			pr := &e.prepBuf[i]
-			idx, fresh := e.addPrepared(pr.fp, pr.key, pr.perm, sc.State, int32(head), int32(sc.Pid), sc.LabelIdx)
+			idx, fresh := e.number(head, x, i)
 			if fresh {
 				g.Adj = append(g.Adj, nil)
-				if name, bad := e.checkInvariants(sc.State); bad && res.Violation == nil {
-					t := e.trace(idx)
-					res.Violation = &Violation{Invariant: name, Trace: t}
+				if res.Violation == nil {
+					if v := e.violated(x, i); v >= 0 {
+						res.Violation = e.violation(v, idx)
+					}
 				}
 			}
+			sc := &x.succs[i]
 			g.Adj[head] = append(g.Adj[head], Edge{To: idx, Pid: int8(sc.Pid), LabelIdx: sc.LabelIdx,
-				Perm: e.edgePermIdx(pr.perm, idx, fresh)})
+				Perm: e.edgePermIdx(x.preps[i].perm, idx, fresh)})
 		}
+		return true
+	})
+	if !complete {
+		return nil, fmt.Errorf("mc: %s: state bound %d exceeded while building graph",
+			p.Name, e.opts.MaxStates)
 	}
 	res.States = e.numStates()
 	res.Store = e.storeReport()

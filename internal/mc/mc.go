@@ -128,14 +128,14 @@ type Options struct {
 	// Mode is the store semantics; model checking uses ModeUnbounded so
 	// the NoOverflow invariant can observe attempted over-stores.
 	Mode gcl.Mode
-	// Workers selects the exploration engine. 0 (the default) runs the
-	// sequential BFS; a positive count runs the chunked parallel engine
-	// (see parallel.go) with that many expansion goroutines; a negative
-	// count uses GOMAXPROCS. Both engines number states
-	// identically, so Check results, graphs, traces, and the SCC analyses
-	// are byte-for-byte independent of this setting. Invariant predicates
-	// must be safe for concurrent use when Workers != 0 (the stock
-	// invariants are pure reads and qualify).
+	// Workers sizes the exploration loop's expansion pool (explore.go).
+	// 0 and 1 expand every state inline on the calling goroutine; a larger
+	// count expands chunks of the BFS queue on that many goroutines; a
+	// negative count uses GOMAXPROCS. State numbering never depends on the
+	// expansion path, so Check results, graphs, traces, and the SCC
+	// analyses are byte-for-byte independent of this setting. Invariant
+	// predicates must be safe for concurrent use when Workers is neither 0
+	// nor 1 (the stock invariants are pure reads and qualify).
 	Workers int
 	// Symmetry enables process-symmetry reduction: the visited store keys
 	// states on the canonical representative of their permutation orbit,
@@ -181,9 +181,10 @@ type Options struct {
 	// exactness for memory (probabilistic verdicts, Result.Store reports
 	// the omission bound), Spill moves state vectors into an mmap-backed
 	// arena so the working set can exceed RAM. planFor refuses lossy modes
-	// for analyses needing exactness; Check panics on malformed options
-	// (commands pre-validate via ParseStoreSpec). Deterministic per Seed
-	// for any Workers count.
+	// for analyses needing exactness. Check panics on malformed options
+	// (commands pre-validate via ParseStoreSpec) and on a spill arena it
+	// cannot create; the entry points that return errors return both
+	// instead. Deterministic per Seed for any Workers count.
 	Store StoreOptions
 }
 
@@ -328,28 +329,37 @@ const crashLabel = "CRASH"
 const crashLabelIdx = int32(-1)
 
 // wctx is one expansion context: the per-worker scratch the hot path
-// allocates from. The sequential engine owns one; the parallel engine keeps
-// one per expansion goroutine. buf is reset once per BFS head (sequential)
-// or once per chunk (parallel), recycling every successor vector, canonical
-// key copy, and crash state generated since; canon is the reusable
-// canonicalizer (nil when the run is not symmetry-reduced).
+// allocates from, one per expansion goroutine. It is reset once per head
+// on the inline path and once per chunk on the mesh path, recycling every
+// successor vector, canonical key, probe and crash state generated since;
+// canon is the reusable canonicalizer (nil when the run is not
+// symmetry-reduced).
 type wctx struct {
 	buf   gcl.SuccBuf
 	canon *gcl.Canonicalizer
 	// slab and fps are the batched store-probe scratch behind prepSuccs:
 	// under symmetry a whole successor run canonicalizes into the
 	// structure-of-arrays key slab in one call; otherwise only the
-	// fingerprint batch is computed (the key is the state itself). preps is
-	// the per-worker probe scratch the parallel engine's expansion fills.
-	// All recycled on the same cadence as buf.
+	// fingerprint batch is computed (the key is the state itself). preps
+	// and adv hold the probes and (mesh only) advisory verdicts of the
+	// successors in buf, index for index.
 	slab  gcl.KeySlab
 	fps   []uint64
 	preps []prep
+	adv   []advice
 }
 
-// explorer is the shared BFS engine behind Check and BuildGraph. Its
-// visited set (store.go) is fingerprint-keyed and Equal- (or, under
-// symmetry, canonical-)confirmed, indexing the numbered states by row.
+func (w *wctx) reset() {
+	w.buf.Reset()
+	w.slab.Reset()
+	w.preps = w.preps[:0]
+	w.adv = w.adv[:0]
+}
+
+// explorer is the BFS engine behind Check and BuildGraph (the loop itself
+// is in explore.go). Its visited set (store.go) is fingerprint-keyed and
+// Equal- (or, under symmetry, canonical-)confirmed, indexing the numbered
+// states by row.
 type explorer struct {
 	p        *gcl.Prog
 	opts     Options
@@ -370,12 +380,6 @@ type explorer struct {
 	// shared state: while disabled, another process's write can enable
 	// them, so their process cannot be singled out (see ampleProcessOK).
 	porGuardShared [][]bool
-	// prepBuf holds the current head's prepared store probes, aligned
-	// index-for-index with its successor list: the ample segment is
-	// batch-prepared first for the C3 proviso check, the remainder only when
-	// the proviso fails, so committed reductions never canonicalize twice.
-	// Sequential engine only.
-	prepBuf []prep
 	// chaseCap bounds local-chain compression so a cycle of local actions
 	// (a local spin) cannot chase forever.
 	chaseCap int
@@ -400,10 +404,14 @@ type explorer struct {
 	meta     slab
 	metaBuf  []int32
 	crashers []int
-	// wc is the sequential engine's expansion context; the parallel engine
-	// carries its own per-worker contexts and leaves this one to the merge
-	// pass.
-	wc wctx
+	// workers is the expansion pool size and wcs its per-worker contexts;
+	// the inline path uses wcs[0]. exps is the mesh chunk's expansion-slot
+	// buffer and inboxes[p][o] routes successors from producer p to
+	// shard-owner o; both are reused across chunks.
+	workers int
+	wcs     []wctx
+	exps    []expansion
+	inboxes [][]inbox
 }
 
 // Per-state metadata words, in meta row order.
@@ -419,8 +427,8 @@ const (
 // given reduction plan (see analysis.go; planFor gates every reduction on
 // soundness for the requesting analysis, e.g. crashing only a proper
 // subset of processes distinguishes their identities and disables
-// symmetry).
-func newExplorer(p *gcl.Prog, opts Options, sharded bool, plan Plan) *explorer {
+// symmetry). The only error is a spill arena that cannot be created.
+func newExplorer(p *gcl.Prog, opts Options, plan Plan) (*explorer, error) {
 	if opts.MaxStates == 0 {
 		opts.MaxStates = DefaultMaxStates
 		if plan.Store.Lossy() || plan.Store.Spill {
@@ -433,7 +441,7 @@ func newExplorer(p *gcl.Prog, opts Options, sharded bool, plan Plan) *explorer {
 	if plan.Store.Spill {
 		ar, err := newArena(plan.Store.SpillDir)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		e.ar = ar
 	}
@@ -452,8 +460,16 @@ func newExplorer(p *gcl.Prog, opts Options, sharded bool, plan Plan) *explorer {
 		}
 		e.chaseCap = p.N*len(p.Labels()) + 8
 	}
+	e.workers = numWorkers(opts.Workers)
+	e.wcs = make([]wctx, e.workers)
 	if plan.Symmetry || plan.TrackPerms {
-		e.wc.canon = p.NewCanonicalizer()
+		for i := range e.wcs {
+			e.wcs[i].canon = p.NewCanonicalizer()
+		}
+	}
+	e.inboxes = make([][]inbox, e.workers)
+	for i := range e.inboxes {
+		e.inboxes[i] = make([]inbox, e.workers)
 	}
 	metaWords := 1
 	if e.traceable {
@@ -466,8 +482,8 @@ func newExplorer(p *gcl.Prog, opts Options, sharded bool, plan Plan) *explorer {
 	e.metaBuf = make([]int32, metaWords)
 	e.states = makeSlab(p.StateLen())
 	e.offs = makeSlab(2)
-	e.store = newEngineStore(p, sharded, plan, e.ar, &e.states)
-	return e
+	e.store = newEngineStore(p, plan, e.ar, &e.states)
+	return e, nil
 }
 
 // numStates is the count of numbered states, independent of where their
@@ -511,15 +527,6 @@ func (e *explorer) appendState(s gcl.State) {
 		return
 	}
 	e.states.push(s)
-}
-
-// releaseState marks state i expanded. In release mode every slab block
-// holding only expanded states is freed — the lossy non-spill memory win:
-// only the frontier's blocks stay resident.
-func (e *explorer) releaseState(i int) {
-	if e.release {
-		e.states.release(int32(i) + 1)
-	}
 }
 
 // storeReport extracts the store tier's accounting, stamping engine-side
@@ -572,8 +579,7 @@ func crashersCoverAll(pids []int, n int) bool {
 	return distinct == n
 }
 
-// prep is a successor's prepared store probe, cached across the C3
-// proviso check and the committed insertion. perm is the index of the
+// prep is a successor's prepared store probe. perm is the index of the
 // canonical witnessing permutation when the exploration tracks
 // permutations (0 otherwise).
 type prep struct {
@@ -582,38 +588,12 @@ type prep struct {
 	perm int32
 }
 
-// prepareProbe computes the store probe for s using the expansion context's
-// reusable canonicalizer. The canonical key is copied into the context's
-// scratch buffer (the canonicalizer's own scratch is overwritten by its
-// next call, and POR keeps a batch of probes alive across one head's ample
-// check), so the key stays valid until the context resets — long enough for
-// the single-threaded insertion pass to copy fresh keys into the store.
-// Under permutation tracking it additionally ranks the canonical
-// witnessing permutation, sharing the single canonicalization pass.
-func (e *explorer) prepareProbe(w *wctx, s gcl.State) (uint64, gcl.State, int32) {
-	if w.canon == nil {
-		return s.Fingerprint(), s, 0
-	}
-	if e.trackPerms {
-		c, perm := w.canon.CanonicalizeWithPerm(s)
-		return c.Fingerprint(), w.buf.CopyIn(c), int32(e.p.PermIndexOf(perm))
-	}
-	c := w.canon.Canonicalize(s)
-	return c.Fingerprint(), w.buf.CopyIn(c), 0
-}
-
-// add registers a state, returning its index and whether it was new.
-func (e *explorer) add(w *wctx, s gcl.State, parent int32, byPid int32, labelIdx int32) (int32, bool) {
-	fp, key, perm := e.prepareProbe(w, s)
-	return e.addPrepared(fp, key, perm, s, parent, byPid, labelIdx)
-}
-
 // prepSuccs prepares the store probes for a run of successors in one batch,
 // writing succs[i]'s probe into dst[i]. Under symmetry the whole run is
 // canonicalized into the context's key slab — a contiguous
 // structure-of-arrays pass with no per-state scratch copy (gcl.KeySlab);
 // otherwise the key is the successor state itself and only the fingerprint
-// batch is computed. The engines reach the canon == nil arm exactly when
+// batch is computed. The loop reaches the canon == nil arm exactly when
 // the plan involves no canonicalization and no extra key words, where every
 // store tier's Prepare degenerates to (s.Fingerprint(), s) — see prepare().
 func (e *explorer) prepSuccs(w *wctx, succs []gcl.Succ, dst []prep) {
@@ -645,34 +625,6 @@ func growPreps(buf []prep, n int) []prep {
 		return make([]prep, n)
 	}
 	return buf[:n]
-}
-
-// addPrepared is add with the store probe already computed — the reduced
-// expansion path prepares each ample candidate once in ampleOKPrep and must
-// not pay a second canonicalization here. One probe decides freshness and,
-// for a fresh state, claims its table slot under the next state number;
-// the state and its metadata are then appended in step. Both s and key may
-// point into recycled scratch: the store copies the canonical key it keeps,
-// and appendState copies the state.
-func (e *explorer) addPrepared(fp uint64, key gcl.State, perm int32, s gcl.State, parent int32, byPid int32, labelIdx int32) (int32, bool) {
-	idx, fresh := e.store.FindOrInsert(fp, key, int32(e.numStates()))
-	if !fresh {
-		return idx, false
-	}
-	e.appendState(s)
-	m := e.metaBuf
-	m[metaDepth] = 0
-	if parent >= 0 {
-		m[metaDepth] = e.depthOf(parent) + 1
-	}
-	if e.traceable {
-		m[metaParent], m[metaPid], m[metaLabel] = parent, byPid, labelIdx
-	}
-	if e.trackPerms {
-		m[metaPerm] = perm
-	}
-	e.meta.push(m)
-	return idx, true
 }
 
 // labelName renders a recorded label index; the crash sentinel renders as
@@ -755,20 +707,9 @@ func (e *explorer) edgeSteps(parent, child gcl.State, pid int, label string) []S
 	panic("mc: cannot reconstruct reduced-graph edge as a concrete chain")
 }
 
-// checkInvariants returns the name of the first violated invariant, if any.
-func (e *explorer) checkInvariants(s gcl.State) (string, bool) {
-	for _, inv := range e.opts.Invariants {
-		if !inv.Holds(e.p, s) {
-			return inv.Name, true
-		}
-	}
-	return "", false
-}
-
-// checkInvariantsIdx returns the index into Options.Invariants of the first
-// violated invariant, or -1 — the form the parallel engine's candidate
-// records carry (an int32 instead of a name string keeps them compact).
-func (e *explorer) checkInvariantsIdx(s gcl.State) int32 {
+// checkInvariants returns the index into Options.Invariants of the first
+// invariant s violates, or -1.
+func (e *explorer) checkInvariants(s gcl.State) int32 {
 	for i := range e.opts.Invariants {
 		if !e.opts.Invariants[i].Holds(e.p, s) {
 			return int32(i)
@@ -902,32 +843,14 @@ func (e *explorer) chase(sc gcl.Succ, buf *gcl.SuccBuf) gcl.Succ {
 	return sc
 }
 
-// ampleOKPrep decides the BFS cycle proviso (C3) for a state at depth d
-// over already-prepared probes: a reduced expansion is allowed only if
-// every ample successor is either not yet in the visited store (it will be
-// numbered at depth d+1) or already stored at exactly depth d+1. Every edge
-// a reduced expansion keeps therefore strictly increases depth by one, and
-// depth cannot strictly increase around a cycle, so every cycle of the
-// reduced graph contains at least one fully expanded state — no enabled
-// action is ignored forever. (The classic stricter proviso — all
-// successors fresh — breaks ties the same way but refuses harmless
-// cross-edges within the next BFS level, which in diamond-shaped
-// interleaving lattices vetoes most reductions.)
-func (e *explorer) ampleOKPrep(preps []prep, d int32) bool {
-	for i := range preps {
-		if idx, ok := e.store.Lookup(preps[i].fp, preps[i].key); ok && e.depthOf(idx) != d+1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Check explores the reachable states of p breadth-first, verifying the
 // configured invariants, and returns as soon as a violation or deadlock is
-// found (the BFS order makes the returned counterexample shortest).
-// Options.Workers selects between the sequential engine below and the
-// parallel engine; both produce identical results.
+// found (the BFS order makes the returned counterexample shortest). Its
+// per-head step commits the ample set, numbers fresh successors, and stops
+// at the first violation, at a deadlock, or once the state bound is
+// reached; the result is identical for any Options.Workers.
 func Check(p *gcl.Prog, opts Options) *Result {
+	start := time.Now()
 	plan, err := planFor(p, opts, SafetyAnalysis{Invariants: opts.Invariants})
 	if err != nil {
 		// Safety never needs exactness, so only malformed StoreOptions land
@@ -935,90 +858,42 @@ func Check(p *gcl.Prog, opts Options) *Result {
 		// ParseStoreSpec).
 		panic(err)
 	}
-	if opts.Workers != 0 {
-		return checkParallel(p, opts, plan)
+	e, err := newExplorer(p, opts, plan)
+	if err != nil {
+		panic(err) // spill arena creation: Check has no error path
 	}
-	return newExplorer(p, opts, false, plan).check()
-}
-
-// check is the sequential engine's safety search.
-func (e *explorer) check() *Result {
-	start := time.Now()
-	p, opts := e.p, e.opts
 	res := &Result{Prog: p, Symmetry: e.symmetry, POR: e.por}
-
-	finish := func() *Result {
-		res.States = e.numStates()
-		res.Store = e.storeReport()
-		res.Elapsed = time.Since(start)
-		return res
+	if v := e.start(); v >= 0 {
+		res.Violation = e.violation(v, 0)
+	} else {
+		res.Complete = e.explore(func(head int32, x *expansion) bool {
+			if e.numStates() >= e.opts.MaxStates {
+				return false
+			}
+			d := e.depthOf(head)
+			res.Depth = int(d)
+			lo, hi := e.ample(x, d)
+			for i := lo; i < hi; i++ {
+				res.Transitions++
+				idx, fresh := e.number(head, x, i)
+				if !fresh {
+					continue
+				}
+				if v := e.violated(x, i); v >= 0 {
+					res.Violation = e.violation(v, idx)
+					return false
+				}
+			}
+			if e.opts.Deadlock && !x.progress {
+				t := e.trace(head)
+				res.Deadlock = &t
+				return false
+			}
+			return true
+		})
 	}
-
-	init := p.InitState()
-	idx, _ := e.add(&e.wc, init, -1, -1, crashLabelIdx)
-	if name, bad := e.checkInvariants(init); bad {
-		t := e.trace(idx)
-		res.Violation = &Violation{Invariant: name, Trace: t}
-		return finish()
-	}
-
-	for head := 0; head < e.numStates(); head++ {
-		if e.numStates() >= e.opts.MaxStates {
-			return finish()
-		}
-		// One head, one buffer generation: every successor vector, canonical
-		// key, chase intermediate, and slab-packed probe below lives in
-		// e.wc's scratch and is recycled here. addPrepared copied fresh
-		// states and keys out.
-		e.wc.buf.Reset()
-		e.wc.slab.Reset()
-		s := e.headState(&e.wc, int32(head))
-		res.Depth = int(e.depthOf(int32(head)))
-		succs, aPid, aLo, aHi := e.successors(s, &e.wc)
-		progress := false
-		for _, sc := range succs {
-			if sc.LabelIdx >= 0 {
-				progress = true
-				break
-			}
-		}
-		// Probes are batch-prepared into prepBuf, index-aligned with succs.
-		// A committed reduction prepares and walks only the ample segment;
-		// on proviso failure the complement is prepared too — the segment's
-		// probes are never recomputed.
-		e.prepBuf = growPreps(e.prepBuf, len(succs))
-		use, preps := succs, e.prepBuf
-		if aPid >= 0 {
-			e.prepSuccs(&e.wc, succs[aLo:aHi], e.prepBuf[aLo:aHi])
-			if e.ampleOKPrep(e.prepBuf[aLo:aHi], e.depthOf(int32(head))) {
-				use, preps = succs[aLo:aHi], e.prepBuf[aLo:aHi]
-			} else {
-				e.prepSuccs(&e.wc, succs[:aLo], e.prepBuf[:aLo])
-				e.prepSuccs(&e.wc, succs[aHi:], e.prepBuf[aHi:])
-			}
-		} else {
-			e.prepSuccs(&e.wc, succs, e.prepBuf)
-		}
-		for i, sc := range use {
-			res.Transitions++
-			pr := &preps[i]
-			idx, fresh := e.addPrepared(pr.fp, pr.key, pr.perm, sc.State, int32(head), int32(sc.Pid), sc.LabelIdx)
-			if !fresh {
-				continue
-			}
-			if name, bad := e.checkInvariants(sc.State); bad {
-				t := e.trace(idx)
-				res.Violation = &Violation{Invariant: name, Trace: t}
-				return finish()
-			}
-		}
-		if opts.Deadlock && !progress {
-			t := e.trace(int32(head))
-			res.Deadlock = &t
-			return finish()
-		}
-		e.releaseState(head)
-	}
-	res.Complete = true
-	return finish()
+	res.States = e.numStates()
+	res.Store = e.storeReport()
+	res.Elapsed = time.Since(start)
+	return res
 }

@@ -8,7 +8,8 @@ import (
 	"bakerypp/internal/specs"
 )
 
-// detModels are the programs the determinism tests compare engines on:
+// detModels are the programs the determinism tests compare expansion
+// paths on:
 // three algorithm families with different state-space shapes, plus a
 // crash-enabled variant to cover crash pseudo-transitions.
 func detModels() []struct {
@@ -31,26 +32,27 @@ func detModels() []struct {
 
 // requireGraphsIdentical asserts that two graphs agree on every observable:
 // state count and vectors, numbering, parents, depths, and full edge lists.
+// seq is the inline path's graph (Workers 0), par the mesh path's.
 func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 	t.Helper()
 	if seq.NumStates() != par.NumStates() {
-		t.Fatalf("state count differs: sequential %d, parallel %d", seq.NumStates(), par.NumStates())
+		t.Fatalf("state count differs: inline %d, mesh %d", seq.NumStates(), par.NumStates())
 	}
 	if seq.Summary.Transitions != par.Summary.Transitions {
-		t.Fatalf("transition count differs: sequential %d, parallel %d",
+		t.Fatalf("transition count differs: inline %d, mesh %d",
 			seq.Summary.Transitions, par.Summary.Transitions)
 	}
 	if seq.Summary.Depth != par.Summary.Depth {
-		t.Fatalf("depth differs: sequential %d, parallel %d", seq.Summary.Depth, par.Summary.Depth)
+		t.Fatalf("depth differs: inline %d, mesh %d", seq.Summary.Depth, par.Summary.Depth)
 	}
 	for i := 0; i < seq.NumStates(); i++ {
 		if !seq.State(i).Equal(par.State(i)) {
-			t.Fatalf("state %d differs:\n  sequential %v\n  parallel   %v", i, seq.State(i), par.State(i))
+			t.Fatalf("state %d differs:\n  inline %v\n  mesh   %v", i, seq.State(i), par.State(i))
 		}
 		// The metadata row holds depth, parent, producing pid and label (and
 		// the witnessing permutation on quotient graphs).
 		if sm, pm := seq.expl.meta.row(int32(i)), par.expl.meta.row(int32(i)); !sm.Equal(pm) {
-			t.Fatalf("BFS tree differs at state %d: sequential (depth, parent, by, label...) %v, parallel %v", i, sm, pm)
+			t.Fatalf("BFS tree differs at state %d: inline (depth, parent, by, label...) %v, mesh %v", i, sm, pm)
 		}
 	}
 	if len(seq.Adj) != len(par.Adj) {
@@ -62,17 +64,19 @@ func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 		}
 		for k, e := range seq.Adj[v] {
 			if e != par.Adj[v][k] {
-				t.Fatalf("edge %d of state %d differs: sequential %+v, parallel %+v", k, v, e, par.Adj[v][k])
+				t.Fatalf("edge %d of state %d differs: inline %+v, mesh %+v", k, v, e, par.Adj[v][k])
 			}
 		}
 	}
 }
 
 // TestParallelGraphMatchesSequential is the headline determinism guarantee:
-// for every model, exploration with Workers=4 yields a graph identical —
-// state numbering, parents, edge order — to the sequential engine's, and so
-// do the starvation/no-progress analyses built on top of it. Run under
-// -race this also exercises the engine's synchronisation.
+// for every model, the mesh path (Workers=4) yields a graph identical —
+// state numbering, parents, edge order — to the inline path's (Workers=0,
+// one goroutine), and so do the starvation/no-progress analyses built on
+// top of it. Run under -race this also exercises the mesh's
+// synchronisation. TestReferenceDigests pins both against the original
+// sequential engine's output.
 func TestParallelGraphMatchesSequential(t *testing.T) {
 	for _, m := range detModels() {
 		t.Run(m.name, func(t *testing.T) {
@@ -92,8 +96,8 @@ func TestParallelGraphMatchesSequential(t *testing.T) {
 }
 
 // TestParallelStarvationVerdictsMatch compares the Section 6.3 livelock
-// search and the global no-progress search across engines on the paper's
-// N=3, M=2 configuration.
+// search and the global no-progress search between the inline and mesh
+// paths on the paper's N=3, M=2 configuration.
 func TestParallelStarvationVerdictsMatch(t *testing.T) {
 	mk := func() *gcl.Prog { return specs.BakeryPP(specs.Config{N: 3, M: 2}) }
 	seq, err := BuildGraph(mk(), Options{})
@@ -108,31 +112,32 @@ func TestParallelStarvationVerdictsMatch(t *testing.T) {
 	pin := func(pr *gcl.Prog, s gcl.State) bool { return pr.PC(s, 2) == l1 }
 	sr, pr := seq.FindStarvation(pin, []int{0, 1}), par.FindStarvation(pin, []int{0, 1})
 	if (sr == nil) != (pr == nil) {
-		t.Fatalf("starvation verdicts differ: sequential %v, parallel %v", sr != nil, pr != nil)
+		t.Fatalf("starvation verdicts differ: inline %v, mesh %v", sr != nil, pr != nil)
 	}
 	if sr == nil {
-		t.Fatal("expected the Section 6.3 livelock cycle on both engines")
+		t.Fatal("expected the Section 6.3 livelock cycle on both paths")
 	}
 	if sr.ComponentSize != pr.ComponentSize || sr.EntryLen != pr.EntryLen {
-		t.Fatalf("starvation reports differ: sequential {size=%d entry=%d}, parallel {size=%d entry=%d}",
+		t.Fatalf("starvation reports differ: inline {size=%d entry=%d}, mesh {size=%d entry=%d}",
 			sr.ComponentSize, sr.EntryLen, pr.ComponentSize, pr.EntryLen)
 	}
 	if fmt.Sprint(sr.MovesByPid) != fmt.Sprint(pr.MovesByPid) {
 		t.Fatalf("per-pid moves differ: %v vs %v", sr.MovesByPid, pr.MovesByPid)
 	}
 	if sr.Entry.String() != pr.Entry.String() {
-		t.Fatalf("entry traces differ:\nsequential:\n%s\nparallel:\n%s", sr.Entry.String(), pr.Entry.String())
+		t.Fatalf("entry traces differ:\ninline:\n%s\nmesh:\n%s", sr.Entry.String(), pr.Entry.String())
 	}
 	sn, pn := seq.FindNoProgress([]int{0, 1, 2}), par.FindNoProgress([]int{0, 1, 2})
 	if (sn == nil) != (pn == nil) {
-		t.Fatalf("no-progress verdicts differ: sequential %v, parallel %v", sn != nil, pn != nil)
+		t.Fatalf("no-progress verdicts differ: inline %v, mesh %v", sn != nil, pn != nil)
 	}
 }
 
-// TestParallelCheckMatchesSequential compares Check results across engines,
-// including a model that violates the overflow invariant (classic Bakery),
-// where the counterexample trace and the partial exploration statistics at
-// the early stop must also coincide.
+// TestParallelCheckMatchesSequential compares Check results between the
+// inline (Workers=0) and mesh (Workers=4) paths, including a model that
+// violates the overflow invariant (classic Bakery), where the
+// counterexample trace and the partial exploration statistics at the early
+// stop must also coincide.
 func TestParallelCheckMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -156,12 +161,12 @@ func TestParallelCheckMatchesSequential(t *testing.T) {
 			par := Check(c.p(), parOpts)
 			if seq.States != par.States || seq.Transitions != par.Transitions ||
 				seq.Depth != par.Depth || seq.Complete != par.Complete {
-				t.Fatalf("results differ:\nsequential: states=%d transitions=%d depth=%d complete=%v\nparallel:   states=%d transitions=%d depth=%d complete=%v",
+				t.Fatalf("results differ:\ninline: states=%d transitions=%d depth=%d complete=%v\nmesh:   states=%d transitions=%d depth=%d complete=%v",
 					seq.States, seq.Transitions, seq.Depth, seq.Complete,
 					par.States, par.Transitions, par.Depth, par.Complete)
 			}
 			if (seq.Violation == nil) != (par.Violation == nil) {
-				t.Fatalf("violation verdicts differ: sequential %v, parallel %v",
+				t.Fatalf("violation verdicts differ: inline %v, mesh %v",
 					seq.Violation != nil, par.Violation != nil)
 			}
 			if seq.Violation != nil {
@@ -170,7 +175,7 @@ func TestParallelCheckMatchesSequential(t *testing.T) {
 						seq.Violation.Invariant, par.Violation.Invariant)
 				}
 				if seq.Violation.Trace.String() != par.Violation.Trace.String() {
-					t.Fatalf("counterexample traces differ:\nsequential:\n%s\nparallel:\n%s",
+					t.Fatalf("counterexample traces differ:\ninline:\n%s\nmesh:\n%s",
 						seq.Violation.Trace.String(), par.Violation.Trace.String())
 				}
 			}

@@ -1,7 +1,7 @@
 package mc
 
-// Hot-path performance contracts for the parallel engine's owner-computes
-// machinery: once warmed up, the expand stage's inbox routing and the
+// Hot-path performance contracts for the exploration loop's owner-computes
+// mesh: once warmed up, the expand stage's inbox routing and the
 // owners' drain pass must run essentially allocation-free — the engine
 // executes them for every generated successor, millions of times per run.
 
@@ -25,40 +25,34 @@ func TestInboxPushDrainAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := newPExplorer(p, opts, plan)
-	e := pe.e
-	pe.addInit(p.InitState())
-
-	// Drive the real chunked explore/merge loop far enough to number a
-	// multi-worker chunk's worth of states and populate the store.
-	for merged := 0; merged < e.numStates() && e.numStates() < 4096; {
-		lo, hi := int32(merged), int32(e.numStates())
-		if hi > lo+maxChunk {
-			hi = lo + maxChunk
-		}
-		merged = int(hi)
-		exps := pe.expandRange(lo, hi, true)
-		for i := range exps {
-			x := &exps[i]
-			for ci := range x.cands {
-				pe.addNumbered(&x.cands[ci], lo+int32(i))
-			}
-		}
+	e, err := newExplorer(p, opts, plan)
+	if err != nil {
+		t.Fatal(err)
 	}
+	e.start()
+
+	// Drive the real exploration loop far enough to number a multi-worker
+	// chunk's worth of states and populate the store.
+	e.explore(func(head int32, x *expansion) bool {
+		for i := range x.succs {
+			e.number(head, x, i)
+		}
+		return e.numStates() < 4096
+	})
 	if e.numStates() < 512 {
-		t.Fatalf("state space too small to exercise the parallel path: %d states", e.numStates())
+		t.Fatalf("state space too small to exercise the mesh path: %d states", e.numStates())
 	}
 
 	// Re-expanding an already-merged range is side-effect free (expansion
-	// and drain write only worker scratch and candidate verdicts) and hits
+	// and drain write only worker scratch and advisory verdicts) and hits
 	// the exact steady-state path: every slab, inbox, and expansion slot
 	// has its capacity.
 	var cands int
 	sweep := func() {
-		exps := pe.expandRange(0, 512, true)
+		exps := e.expandChunk(0, 512)
 		cands = 0
 		for i := range exps {
-			cands += len(exps[i].cands)
+			cands += len(exps[i].succs)
 		}
 	}
 	sweep() // warm remaining capacity

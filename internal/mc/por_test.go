@@ -48,7 +48,7 @@ func TestPORVerdictParity(t *testing.T) {
 // TestPORDeterministicAcrossWorkers pins the acceptance contract that POR
 // runs (alone and composed with symmetry) are byte-identical for any
 // worker count: state counts, transition counts, verdicts, and
-// counterexample traces all agree between the engines.
+// counterexample traces all agree across worker counts.
 func TestPORDeterministicAcrossWorkers(t *testing.T) {
 	models := []struct {
 		name string

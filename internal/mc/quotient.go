@@ -304,7 +304,7 @@ func (g *Graph) buildProduct() *product {
 		nPrimary: int32(g.expl.numStates()),
 		idx:      make(map[uint64]int32, 4*g.expl.numStates()),
 		extra:    makeSlab(p.StateLen()),
-		extraIdx: newStateStore(p, false, Plan{}),
+		extraIdx: newKeyStore(p, false, Plan{}),
 		norms:    make([]gcl.State, g.expl.numStates()),
 		viewBuf:  make(gcl.State, p.StateLen()),
 		wantBuf:  make(gcl.State, p.StateLen()),

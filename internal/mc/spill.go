@@ -189,20 +189,14 @@ type spillStore struct {
 	shards  [shardCount]valTable
 }
 
-// newSpillStore wraps arena ar (creating a private one when nil — the
-// monitor/memo searches pass nil; the engines share their pager arena).
-func newSpillStore(p *gcl.Prog, plan Plan, ar *arena) (*spillStore, error) {
-	if ar == nil {
-		var err error
-		if ar, err = newArena(plan.Store.SpillDir); err != nil {
-			return nil, err
-		}
-	}
+// newSpillStore wraps arena ar: the engines share their pager arena, the
+// monitor/memo searches give the store a private one.
+func newSpillStore(p *gcl.Prog, plan Plan, ar *arena) *spillStore {
 	st := &spillStore{p: p, plan: plan, ar: ar}
 	for i := range st.shards {
 		st.shards[i].rows = makeSlab(3)
 	}
-	return st, nil
+	return st
 }
 
 func (st *spillStore) Prepare(s gcl.State, extra ...int32) (uint64, gcl.State) {

@@ -1,16 +1,17 @@
 package mc
 
 // The visited set. Every exploration in this package — Check and BuildGraph
-// on both engines, the FCFS monitor product, the refinement memo, and the
-// quotient product's supplementary orbit index — resolves membership through
-// one hashed index, fpTable: open addressing with linear probing over a flat
-// array of (fingerprint, row) slots. A slot holds no key and no pointer. It
-// names a row, and the key behind the row lives in a stride-addressed,
-// block-allocated []int32 slab (the spill tier keeps it in the mmap arena
-// instead). A probe matches on the fingerprint first, one integer compare,
-// and confirms by comparing the probe key with the row's key, so membership
-// stays exact, unlike TLC's default trust-the-fingerprint mode. A
-// fingerprint collision costs one extra row comparison.
+// on both expansion paths, the FCFS monitor product, the refinement memo,
+// and the quotient product's supplementary orbit index — resolves
+// membership through one hashed index, fpTable: open addressing with
+// linear probing over a flat array of (fingerprint, row) slots. A slot
+// holds no key and no pointer. It names a row, and the key behind the row
+// lives in a stride-addressed, block-allocated []int32 slab (the spill tier
+// keeps it in the mmap arena instead). A probe matches on the fingerprint
+// first, one integer compare, and confirms by comparing the probe key with
+// the row's key, so membership stays exact, unlike TLC's default
+// trust-the-fingerprint mode. A fingerprint collision costs one extra row
+// comparison.
 //
 // Where the rows come from:
 //
@@ -22,24 +23,25 @@ package mc
 //     state i; the engines still keep and expand the concrete,
 //     first-encountered representative, which keeps counterexample traces
 //     concrete and replayable (docs/model-checking.md, "Symmetry
-//     reduction"). The sequential engine uses one table. The parallel engine
-//     stripes 64 tables by fingerprint, and each drain goroutine reads only
-//     the shards it owns (owner-computes). Neither takes locks: drains only
-//     read, the single-threaded merge pass is the only writer, and chunk
-//     barriers separate the two.
+//     reduction"). The store stripes 64 tables by fingerprint, so each mesh
+//     drain goroutine reads only the shards it owns (owner-computes). It
+//     takes no locks: drains only read, the exploration loop's per-head
+//     step is the only writer, and chunk barriers separate the two.
 //   - generic stores (keyStore, built by newStateStore): the table owns a key
 //     slab per key width plus vals[row]. These serve the monitor and memo
 //     searches, whose values are payloads rather than state numbers, and
 //     whose keys may carry extra words (a monitor phase, a belief id). The
 //     pinned-symmetry plan (Plan.Pinned) keys on representatives canonical
 //     over the permutations that fix the pinned pids — the FCFS monitor's
-//     keying. The sharded variant locks per shard.
+//     keying. The searches run single-threaded and use one unlocked table
+//     set; the locked, 64-shard variant backs the compact store's exact
+//     shadow.
 //   - the lossy tiers (compactStore, bitstateStore below) and the exact spill
 //     tier (spill.go). The compact store's rows address its second
 //     fingerprint word and value; bitstate keeps no table at all.
 //
-// The engines number a state with a single probe, FindOrInsert: a fresh key
-// claims the empty slot the probe ended on.
+// The exploration loop numbers a state with a single probe, FindOrInsert: a
+// fresh key claims the empty slot the probe ended on.
 
 import (
 	"math"
@@ -50,8 +52,8 @@ import (
 	"bakerypp/internal/gcl"
 )
 
-// visitedSet is the membership interface the engines need: the advisory
-// lookup (drains, the POR proviso, the quotient product) and the
+// visitedSet is the membership interface the exploration loop needs: the
+// advisory lookup (drains, the POR proviso, the quotient product) and the
 // single-probe numbering of a fresh state.
 type visitedSet interface {
 	// Lookup returns the value stored under key, if present.
@@ -81,43 +83,39 @@ type StateStore interface {
 // planFor gates on those and falls back to the full search otherwise.
 // Plan.Store selects the tier: exact in-heap, exact with arena-spilled keys
 // (spill.go), hash compaction, or bitstate; planFor has already refused
-// lossy tiers for analyses that need exactness.
-func newStateStore(p *gcl.Prog, sharded bool, plan Plan) StateStore {
+// lossy tiers for analyses that need exactness. The only error is a spill
+// arena that cannot be created.
+func newStateStore(p *gcl.Prog, plan Plan) (StateStore, error) {
 	switch plan.Store.Mode {
 	case StoreCompact:
-		return newCompactStore(p, plan)
+		return newCompactStore(p, plan), nil
 	case StoreBitstate:
-		return newBitstateStore(p, plan)
+		return newBitstateStore(p, plan), nil
 	}
 	if plan.Store.Spill {
-		st, err := newSpillStore(p, plan, nil)
+		ar, err := newArena(plan.Store.SpillDir)
 		if err != nil {
-			panic(err) // arena creation: disk/temp-dir failure
+			return nil, err
 		}
-		return st
+		return newSpillStore(p, plan, ar), nil
 	}
-	return newKeyStore(p, sharded, plan)
+	return newKeyStore(p, false, plan), nil
 }
 
 // newEngineStore builds an exploration engine's visited set. The exact
 // in-heap tier is a rowStore over the engine's own state slab (its
 // canonical-key slab under symmetry); the lossy tiers are the generic ones;
 // the spill tier shares the engine's pager arena ar.
-func newEngineStore(p *gcl.Prog, sharded bool, plan Plan, ar *arena, states *slab) visitedSet {
-	if plan.Store.Lossy() {
-		return newStateStore(p, sharded, plan)
+func newEngineStore(p *gcl.Prog, plan Plan, ar *arena, states *slab) visitedSet {
+	switch {
+	case plan.Store.Mode == StoreCompact:
+		return newCompactStore(p, plan)
+	case plan.Store.Mode == StoreBitstate:
+		return newBitstateStore(p, plan)
+	case plan.Store.Spill:
+		return newSpillStore(p, plan, ar)
 	}
-	if plan.Store.Spill {
-		st, err := newSpillStore(p, plan, ar)
-		if err != nil {
-			panic(err)
-		}
-		return st
-	}
-	st := &rowStore{keys: states, tabs: make([]fpTable, 1)}
-	if sharded {
-		st.tabs = make([]fpTable, shardCount)
-	}
+	st := &rowStore{keys: states}
 	if plan.Symmetry {
 		keys := makeSlab(p.StateLen())
 		st.keys, st.own = &keys, true
@@ -339,19 +337,18 @@ func (t *fpTable) grow() {
 // up to far more workers than any current machine provides.
 const shardCount = 64
 
-// rowStore is the engines' exact store: table rows are state numbers and
+// rowStore is the exploration loop's exact store: table rows are state numbers and
 // keys are read from keys — the explorer's state slab, or, when own is set
 // (symmetry), the store's canonical-key slab, pushed in step with the
-// numbering. tabs holds one table (sequential engine) or shardCount tables
-// selected by fingerprint (parallel engine).
+// numbering. tabs holds shardCount tables selected by fingerprint.
 type rowStore struct {
 	keys *slab
 	own  bool
-	tabs []fpTable
+	tabs [shardCount]fpTable
 }
 
 func (st *rowStore) table(fp uint64) *fpTable {
-	return &st.tabs[fp&uint64(len(st.tabs)-1)]
+	return &st.tabs[fp&(shardCount-1)]
 }
 
 func (st *rowStore) Lookup(fp uint64, key gcl.State) (int32, bool) {

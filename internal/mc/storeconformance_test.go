@@ -1,7 +1,8 @@
 package mc
 
-// The store-conformance suite: every StateStore implementation behind
-// newStateStore — seq, sharded, symmetry-keyed, pinned-keyed, spill,
+// The store-conformance suite: every StateStore implementation — the
+// generic keyStore unlocked (seq) and locked (sharded), symmetry-keyed,
+// pinned-keyed, and newStateStore's spill,
 // compact (both widths, with and without shadow), bitstate — is pushed
 // through one shared contract (insert/lookup idempotence, value
 // stability, concurrent-insert safety under -race) and, at the engine
@@ -21,7 +22,9 @@ import (
 // storeVariant is one conformance row: how to build the store and which
 // optional contract clauses apply to it.
 type storeVariant struct {
-	name    string
+	name string
+	// sharded selects the locked 64-shard keyStore; otherwise the store is
+	// newStateStore's pick for the plan.
 	sharded bool
 	plan    Plan
 	// values: Lookup returns the inserted value (false for bitstate,
@@ -33,6 +36,19 @@ type storeVariant struct {
 	// concurrent: Insert may race with Insert/Lookup (false only for the
 	// seq store, the one implementation without internal locking).
 	concurrent bool
+}
+
+// build constructs v's store.
+func (v storeVariant) build(t *testing.T, p *gcl.Prog) StateStore {
+	t.Helper()
+	if v.sharded {
+		return newKeyStore(p, true, v.plan)
+	}
+	st, err := newStateStore(p, v.plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // mustStore parses a -store spec into normalized StoreOptions.
@@ -133,7 +149,7 @@ func TestStoreConformanceContract(t *testing.T) {
 	}
 	for _, v := range storeVariants(t) {
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.sharded, v.plan)
+			st := v.build(t, p)
 			states := dedupeByKey(st, allStates)
 			// Empty store: every probe misses.
 			for _, s := range states[:32] {
@@ -210,7 +226,7 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 	b := p.Clone(base)
 	p.SetShared(b, "number", 2, 2) // orbit-mate: process 2 holds it
 
-	sym := newStateStore(p, false, Plan{Symmetry: true, Store: StoreOptions{}})
+	sym := newKeyStore(p, false, Plan{Symmetry: true, Store: StoreOptions{}})
 	fpA, keyA := sym.Prepare(a)
 	fpB, keyB := sym.Prepare(b)
 	if fpA != fpB || !keyA.Equal(keyB) {
@@ -219,7 +235,7 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 
 	// Pinning 1 and 2 keeps them apart: swapping their roles is no longer
 	// in the subgroup the pinned store canonicalizes over.
-	pinned := newStateStore(p, false, Plan{Pinned: []int{1, 2}, Store: StoreOptions{}})
+	pinned := newKeyStore(p, false, Plan{Pinned: []int{1, 2}, Store: StoreOptions{}})
 	fpA, keyA = pinned.Prepare(a)
 	fpB, keyB = pinned.Prepare(b)
 	if fpA == fpB && keyA.Equal(keyB) {
@@ -231,8 +247,8 @@ func TestStoreConformanceOrbitKeying(t *testing.T) {
 // racing inserts and lookups under -race: disjoint writers must all land,
 // contending writers of the same key must collapse to one entry, and
 // readers racing the writers must never see a torn value (only "absent"
-// or an inserted value). The seq store is exempt by contract — the
-// sequential engine is its only client.
+// or an inserted value). The seq store is exempt by contract — its
+// clients are single-threaded searches.
 func TestStoreConformanceConcurrent(t *testing.T) {
 	p := conformanceProg()
 	allStates := reachableStates(p, 1024)
@@ -242,7 +258,7 @@ func TestStoreConformanceConcurrent(t *testing.T) {
 			continue
 		}
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.sharded, v.plan)
+			st := v.build(t, p)
 			states := dedupeByKey(st, allStates)
 			// Phase 1: disjoint slices, racing inserts plus racing reads.
 			var wg sync.WaitGroup
@@ -413,12 +429,12 @@ func TestStoreEngineDeterminism(t *testing.T) {
 			par := Check(specs.BakeryPP(specs.Config{N: 3, M: 2}), opts(-1))
 			if !so.Lossy() {
 				if seq.States != par.States || seq.Transitions != par.Transitions || seq.Depth != par.Depth {
-					t.Fatalf("%s: engines diverge: seq (%d,%d,%d) vs par (%d,%d,%d)", mode,
+					t.Fatalf("%s: worker counts diverge: w0 (%d,%d,%d) vs w-1 (%d,%d,%d)", mode,
 						seq.States, seq.Transitions, seq.Depth, par.States, par.Transitions, par.Depth)
 				}
 			}
 			if seq.RunFingerprint() != par.RunFingerprint() {
-				t.Fatalf("%s seed %d: run fingerprint %016x (sequential) != %016x (parallel)",
+				t.Fatalf("%s seed %d: run fingerprint %016x (workers 0) != %016x (workers -1)",
 					mode, seed, seq.RunFingerprint(), par.RunFingerprint())
 			}
 		}

@@ -9,6 +9,7 @@ package mc
 // accepted combinations' behaviour.
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -97,4 +98,35 @@ func TestSafetyAcceptsLossyStores(t *testing.T) {
 			t.Fatalf("PlanFor accepted %q for the graph analysis", mode)
 		}
 	}
+}
+
+// TestSpillArenaFailureIsAnError: a spill arena that cannot be created
+// (here, a missing spill directory) surfaces as an error from every entry
+// point that returns one, and as Check's documented panic.
+func TestSpillArenaFailureIsAnError(t *testing.T) {
+	so := mustStore(t, "exact,spill")
+	so.SpillDir = filepath.Join(t.TempDir(), "missing")
+	p := specs.BakeryPP(specs.Config{N: 2, M: 2})
+	wantArenaErr := func(entry string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "spill arena") {
+			t.Fatalf("%s with a missing spill directory: err = %v, want the spill arena error", entry, err)
+		}
+	}
+	for _, workers := range []int{0, 2} {
+		_, err := BuildGraph(p, Options{Store: so, Workers: workers})
+		wantArenaErr("BuildGraph", err)
+	}
+	_, err := CheckFCFS(p, 0, 1, Options{Store: so})
+	wantArenaErr("CheckFCFS", err)
+	_, err = CheckBoundedRefinement(specs.BakeryPP(specs.Config{N: 2, M: 2}), specs.Bakery(specs.Config{N: 2, M: 1 << 14}),
+		RefinementOptions{MaxEvents: 2, Store: so})
+	wantArenaErr("CheckBoundedRefinement", err)
+
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("Check with a missing spill directory returned instead of panicking")
+		}
+	}()
+	Check(p, Options{Store: so})
 }

@@ -70,19 +70,18 @@ func distinctKeys(t *testing.T, p *gcl.Prog, n int, canonical bool) []gcl.State 
 // miss, and, where values are payloads, Insert must replace the value.
 func TestStoreExactUnderForcedCollisions(t *testing.T) {
 	p := conformanceProg()
-	const bulk = 800 // past the first table's 0.7 load limit (716 keys): forces growth
-	generic := []struct {
-		name    string
-		sharded bool
-		plan    Plan
-	}{
-		{"seq", false, Plan{}},
-		{"sharded", true, Plan{}},
-		{"spill", false, Plan{Store: mustStore(t, "exact,spill")}},
+	// Half the keys sit on fingerprint 42, one shard of the 64-table
+	// stores: 800 of them pass a table's initial 0.7 load limit (716 keys)
+	// and force growth in every store.
+	const bulk = 1600
+	generic := []storeVariant{
+		{name: "seq", plan: Plan{}},
+		{name: "sharded", sharded: true, plan: Plan{}},
+		{name: "spill", plan: Plan{Store: mustStore(t, "exact,spill")}},
 	}
 	for _, v := range generic {
 		t.Run(v.name, func(t *testing.T) {
-			st := newStateStore(p, v.sharded, v.plan)
+			st := v.build(t, p)
 			probes := collidingProbes(distinctKeys(t, p, bulk, false))
 			for i, pr := range probes {
 				if val, fresh := st.FindOrInsert(pr.fp, pr.key, int32(i)); !fresh || val != int32(i) {
@@ -116,31 +115,29 @@ func TestStoreExactUnderForcedCollisions(t *testing.T) {
 		})
 	}
 	for _, sym := range []bool{false, true} {
-		for _, sharded := range []bool{false, true} {
-			t.Run(fmt.Sprintf("engine-sym=%v-sharded=%v", sym, sharded), func(t *testing.T) {
-				states := makeSlab(p.StateLen())
-				st := newEngineStore(p, sharded, Plan{Symmetry: sym}, nil, &states)
-				probes := collidingProbes(distinctKeys(t, p, bulk, sym))
-				for i, pr := range probes {
-					row, fresh := st.FindOrInsert(pr.fp, pr.key, states.len())
-					if !fresh || row != int32(i) {
-						t.Fatalf("key %d at fp %d: first FindOrInsert = (%d, %v), want (%d, true)", i, pr.fp, row, fresh, i)
-					}
-					// The engine numbers the state: its vector becomes the
-					// row the store reads (the key itself without symmetry).
-					states.push(pr.key)
+		t.Run(fmt.Sprintf("engine-sym=%v", sym), func(t *testing.T) {
+			states := makeSlab(p.StateLen())
+			st := newEngineStore(p, Plan{Symmetry: sym}, nil, &states)
+			probes := collidingProbes(distinctKeys(t, p, bulk, sym))
+			for i, pr := range probes {
+				row, fresh := st.FindOrInsert(pr.fp, pr.key, states.len())
+				if !fresh || row != int32(i) {
+					t.Fatalf("key %d at fp %d: first FindOrInsert = (%d, %v), want (%d, true)", i, pr.fp, row, fresh, i)
 				}
-				for i, pr := range probes {
-					if row, fresh := st.FindOrInsert(pr.fp, pr.key, states.len()); fresh || row != int32(i) {
-						t.Fatalf("key %d at fp %d: repeated FindOrInsert = (%d, %v), want (%d, false)", i, pr.fp, row, fresh, i)
-					}
-					if row, ok := st.Lookup(pr.fp, pr.key); !ok || row != int32(i) {
-						t.Fatalf("key %d at fp %d: Lookup = (%d, %v), want (%d, true)", i, pr.fp, row, ok, i)
-					}
+				// The engine numbers the state: its vector becomes the
+				// row the store reads (the key itself without symmetry).
+				states.push(pr.key)
+			}
+			for i, pr := range probes {
+				if row, fresh := st.FindOrInsert(pr.fp, pr.key, states.len()); fresh || row != int32(i) {
+					t.Fatalf("key %d at fp %d: repeated FindOrInsert = (%d, %v), want (%d, false)", i, pr.fp, row, fresh, i)
 				}
-				requireForeignFpMisses(t, st, probes)
-			})
-		}
+				if row, ok := st.Lookup(pr.fp, pr.key); !ok || row != int32(i) {
+					t.Fatalf("key %d at fp %d: Lookup = (%d, %v), want (%d, true)", i, pr.fp, row, ok, i)
+				}
+			}
+			requireForeignFpMisses(t, st, probes)
+		})
 	}
 }
 
@@ -216,9 +213,10 @@ func liveHeapBytes() uint64 {
 	return sample[0].Value.Uint64()
 }
 
-// TestExactStoreHeapPerState measures what one finished sequential check
+// TestExactStoreHeapPerState measures what one finished inline exploration
 // keeps alive: live heap after the run, minus live heap before it, over
-// the numbered states.
+// the numbered states. The test's step numbers every successor, which on
+// this clean model is exactly what Check's step does.
 func TestExactStoreHeapPerState(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 3, M: 2})
 	opts := Options{Invariants: []Invariant{Mutex(), NoOverflow()}}
@@ -227,15 +225,25 @@ func TestExactStoreHeapPerState(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := liveHeapBytes()
-	e := newExplorer(p, opts, false, plan)
-	res := e.check()
+	e, err := newExplorer(p, opts, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.start()
+	complete := e.explore(func(head int32, x *expansion) bool {
+		for i := range x.succs {
+			e.number(head, x, i)
+		}
+		return true
+	})
 	after := liveHeapBytes()
 	runtime.KeepAlive(e)
-	if !res.Complete || res.States != 36342 {
-		t.Fatalf("unexpected run: %s", res)
+	states := e.numStates()
+	if !complete || states != 36342 {
+		t.Fatalf("unexpected run: complete=%v, %d states", complete, states)
 	}
-	perState := float64(after-before) / float64(res.States)
-	t.Logf("live heap %.1f B/state over %d states", perState, res.States)
+	perState := float64(after-before) / float64(states)
+	t.Logf("live heap %.1f B/state over %d states", perState, states)
 	if perState > heapPerStateCeiling {
 		t.Fatalf("exact store keeps %.1f B of live heap per state, ceiling %d", perState, heapPerStateCeiling)
 	}

@@ -93,7 +93,7 @@ func TestSymmetryVerdictParity(t *testing.T) {
 // TestSymmetryDeterministicAcrossWorkers pins the acceptance contract that
 // reduced runs are byte-identical for any worker count: state counts,
 // transition counts, verdicts, and the full BFS graph all agree between
-// the sequential engine and the parallel engine at several widths.
+// the inline path and the mesh path at several widths.
 func TestSymmetryDeterministicAcrossWorkers(t *testing.T) {
 	models := []struct {
 		name  string
@@ -264,7 +264,7 @@ func TestStateStoreBasics(t *testing.T) {
 	s3 := p.Clone(s1)
 	p.SetShared(s3, "number", 2, 2) // orbit-mate of s2
 	for _, sharded := range []bool{false, true} {
-		st := newStateStore(p, sharded, Plan{})
+		st := newKeyStore(p, sharded, Plan{})
 		fp1, k1 := st.Prepare(s1)
 		if _, ok := st.Lookup(fp1, k1); ok {
 			t.Fatal("empty store reported a hit")
@@ -287,7 +287,7 @@ func TestStateStoreBasics(t *testing.T) {
 			t.Fatal("extra-word key collided with the bare key")
 		}
 
-		sym := newStateStore(p, sharded, Plan{Symmetry: true})
+		sym := newKeyStore(p, sharded, Plan{Symmetry: true})
 		fpS2, kS2 := sym.Prepare(s2)
 		fpS3, kS3 := sym.Prepare(s3)
 		if fpS2 != fpS3 || !kS2.Equal(kS3) {
