@@ -154,12 +154,12 @@ func n4m2(b *testing.B) *Graph {
 	return n4m2Graph
 }
 
-// The SCC cycle analyses' component bookkeeping is slice-based epoch
-// marking (one reusable int32 array, a fresh epoch per component) rather
-// than a per-SCC map[int32]bool; on the 1.6M-state n4m2 graph the masked
-// subgraph construction and component scans dominate, and the epoch scheme
-// removes every per-component allocation from the loop. Run with
-// `go test ./internal/mc/ -run xxx -bench 'N4M2' -benchtime 1x`.
+// The full-graph cycle analyses on the 1.6M-state n4m2 graph: the shared
+// Tarjan reads the adjacency through node and edge filters (no filtered
+// copy), components are marked by epoch in one reusable int32 array, and
+// the scan stops at the first qualifying component. FindNoProgress reads
+// the cs-enter bit recorded on each edge at build time. Run with
+// `go test ./internal/mc/ -run xxx -bench 'N4M2' -benchtime 1x -benchmem`.
 func BenchmarkFindStarvationN4M2(b *testing.B) {
 	g := n4m2(b)
 	p := g.expl.p

@@ -72,7 +72,7 @@ func TestGraphSingleState(t *testing.T) {
 	if g.NumStates() != 1 {
 		t.Errorf("states = %d, want 1", g.NumStates())
 	}
-	if sccs := g.SCCs(); len(sccs) != 1 || len(sccs[0]) != 1 {
+	if sccs := allSCCs(g); len(sccs) != 1 || len(sccs[0]) != 1 {
 		t.Errorf("SCCs = %v", sccs)
 	}
 	if rep := g.FindNoProgress([]int{0}); rep != nil {

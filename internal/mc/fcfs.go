@@ -64,8 +64,9 @@ func (r *FCFSResult) String() string {
 // CheckFCFS verifies first-come-first-served entry for the ordered process
 // pair (first, second): whenever first completes its doorway before second
 // begins competing, first enters the critical section before second. The
-// program must carry the specs package's "doorway-done", "try" and
-// "cs-enter" branch tags. Options.MaxStates bounds the product exploration
+// pids must be distinct and lie in [0, N), and the program must carry the
+// specs package's "doorway-done", "try" and "cs-enter" branch tags;
+// otherwise CheckFCFS returns an error. Options.MaxStates bounds the product exploration
 // (0 = DefaultMaxStates); Options.Symmetry requests pinned-orbit
 // deduplication — the monitor names the pair, so the pipeline
 // canonicalizes over the permutations fixing first and second only
@@ -78,12 +79,12 @@ func (r *FCFSResult) String() string {
 // could silently mask a violation (exact,spill is fine).
 func CheckFCFS(p *gcl.Prog, first, second int, opts Options) (*FCFSResult, error) {
 	if first == second || first < 0 || second < 0 || first >= p.N || second >= p.N {
-		panic(fmt.Sprintf("mc: bad FCFS pair (%d, %d) for N=%d", first, second, p.N))
+		return nil, fmt.Errorf("mc: bad FCFS pair (%d, %d) for N=%d", first, second, p.N)
 	}
 	tags := p.BranchTags()
 	for _, need := range []string{"doorway-done", "try", "cs-enter"} {
 		if tags[need] == 0 {
-			panic(fmt.Sprintf("mc: %s lacks the %q tag needed for FCFS checking", p.Name, need))
+			return nil, fmt.Errorf("mc: %s lacks the %q tag needed for FCFS checking", p.Name, need)
 		}
 	}
 	maxStates := opts.MaxStates

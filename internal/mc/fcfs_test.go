@@ -97,20 +97,33 @@ func TestFCFSSzymanskiBatchOrder(t *testing.T) {
 	}
 }
 
+// A bad pair or a program without the monitor's tags is an error, not a
+// panic.
 func TestFCFSValidation(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 2, M: 2})
-	for _, f := range []func(){
-		func() { CheckFCFS(p, 0, 0, Options{}) },
-		func() { CheckFCFS(p, 0, 5, Options{}) },
+	untagged := gcl.New("untagged", 2)
+	untagged.SharedVar("x", 0)
+	untagged.Label("ncs", gcl.Goto("cs"))
+	untagged.Label("cs", gcl.Goto("ncs"))
+	untagged.MustBuild()
+	for _, tc := range []struct {
+		name          string
+		p             *gcl.Prog
+		first, second int
+		want          string
+	}{
+		{"same-pid", p, 0, 0, "bad FCFS pair"},
+		{"negative-pid", p, -1, 1, "bad FCFS pair"},
+		{"pid-past-N", p, 0, 2, "bad FCFS pair"},
+		{"untagged", untagged, 0, 1, "lacks the"},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad pair accepted")
-				}
-			}()
-			f()
-		}()
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := CheckFCFS(tc.p, tc.first, tc.second, Options{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckFCFS(%d, %d) = %v, %v; want an error containing %q",
+					tc.first, tc.second, res, err, tc.want)
+			}
+		})
 	}
 }
 

@@ -7,15 +7,19 @@ import (
 	"bakerypp/internal/gcl"
 )
 
-// Edge is one transition of the reachability graph. Pid is the moving
-// process in the SOURCE state's slot coordinates. LabelIdx is the source
-// label's index in the program's label table (crashLabelIdx for crash
-// pseudo-transitions); storing the index instead of the string keeps edges
-// pointer-free — the GC never scans the adjacency lists — and makes edge
-// comparisons integer compares. Render with Graph.EdgeLabel.
+// Edge is one transition of the reachability graph, 16 pointer-free bytes:
+// the GC never scans the adjacency lists, and edge comparisons are integer
+// compares. Render its label with Graph.EdgeLabel.
 type Edge struct {
-	To       int32
-	Pid      int8
+	To int32
+	// Pid is the moving process in the SOURCE state's slot coordinates.
+	Pid int8
+	// Enter records that the transition took a branch tagged "cs-enter",
+	// the critical-section entries FindNoProgress filters out. It sits in
+	// the padding after Pid.
+	Enter bool
+	// LabelIdx is the source label's index in the program's label table
+	// (crashLabelIdx for crash pseudo-transitions).
 	LabelIdx int32
 	// Perm, on a symmetry-reduced (quotient) graph, is the index of the
 	// permutation ρ relating the concrete successor t to the stored
@@ -60,7 +64,8 @@ func (g *Graph) State(i int) gcl.State { return g.expl.stateAt(int32(i)) }
 // violations (Summary.Violation still records the first one found); it
 // fails only if the state bound is exceeded, since an incomplete graph
 // would make cycle analysis meaningless, or if the spill arena cannot be
-// created. Its per-head step appends every successor's edge; state
+// created. Its per-head step appends every successor's edge, recording
+// whether the taken branch entered the critical section; state
 // numbering and edge order are identical for any Options.Workers. The
 // reduction plan comes from the pipeline's GraphAnalysis declaration: POR
 // never applies (the graph analyses — SCCs, starvation and no-progress
@@ -101,8 +106,8 @@ func BuildGraph(p *gcl.Prog, opts Options) (*Graph, error) {
 				}
 			}
 			sc := &x.succs[i]
-			g.Adj[head] = append(g.Adj[head], Edge{To: idx, Pid: int8(sc.Pid), LabelIdx: sc.LabelIdx,
-				Perm: e.edgePermIdx(x.preps[i].perm, idx, fresh)})
+			g.Adj[head] = append(g.Adj[head], Edge{To: idx, Pid: int8(sc.Pid), Enter: sc.Tag == "cs-enter",
+				LabelIdx: sc.LabelIdx, Perm: e.edgePermIdx(x.preps[i].perm, idx, fresh)})
 		}
 		return true
 	})
@@ -125,80 +130,12 @@ func (g *Graph) Quotient() bool { return g.expl.trackPerms }
 // Trace reconstructs the BFS path from the initial state to graph index i.
 func (g *Graph) Trace(i int) Trace { return g.expl.trace(int32(i)) }
 
-// SCCs returns the strongly connected components of the graph (Tarjan,
-// iterative), in reverse topological order. Trivial single-state components
-// without a self-loop are included; callers filter as needed.
-func (g *Graph) SCCs() [][]int32 {
-	n := len(g.Adj)
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var (
-		stack   []int32
-		sccs    [][]int32
-		counter int32
-	)
-
-	type frame struct {
-		v    int32
-		edge int
-	}
-	var call []frame
-	for root := int32(0); root < int32(n); root++ {
-		if index[root] != -1 {
-			continue
-		}
-		call = append(call[:0], frame{v: root})
-		index[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			if f.edge < len(g.Adj[f.v]) {
-				w := g.Adj[f.v][f.edge].To
-				f.edge++
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			call = call[:len(call)-1]
-			if len(call) > 0 {
-				if pv := call[len(call)-1].v; low[v] < low[pv] {
-					low[pv] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []int32
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sccs = append(sccs, comp)
-			}
-		}
-	}
-	return sccs
-}
+// numNodes, degree, edge and depthOf make the full graph a cycleGraph
+// for the shared SCC engine (cycles.go).
+func (g *Graph) numNodes() int32                { return int32(len(g.Adj)) }
+func (g *Graph) degree(v int32) int32           { return int32(len(g.Adj[v])) }
+func (g *Graph) depthOf(v int32) int32          { return g.expl.depthOf(v) }
+func (g *Graph) edge(v, ei int32) (int32, int8) { e := &g.Adj[v][ei]; return e.To, e.Pid }
 
 // StarvationReport describes a reachable cycle on which a predicate holds
 // forever while a given set of processes keeps taking steps — the shape of
@@ -240,8 +177,10 @@ type StarvationReport struct {
 // FindStarvation searches for a reachable strongly connected component with
 // at least one edge, all of whose states satisfy pred, and inside which
 // every process in mustMove takes at least one step. It returns nil if no
-// such component exists. pred typically pins the starved process to a label
-// (e.g. "pc of process 2 is l1") while mustMove lists the fast processes.
+// such component exists — in particular when mustMove names a pid outside
+// [0, N). pred typically pins the starved process to a label (e.g. "pc of
+// process 2 is l1") while mustMove lists the fast processes. Both graph
+// kinds run the shared fair-component scan (cycles.go).
 //
 // On a quotient graph (BuildGraph under symmetry) the search runs on the
 // permutation-tracked product, so pred still reads CONCRETE pid positions:
@@ -254,79 +193,21 @@ func (g *Graph) FindStarvation(pred func(p *gcl.Prog, s gcl.State) bool, mustMov
 	if g.Quotient() {
 		return g.findStarvationQuotient(pred, mustMove)
 	}
-	n := len(g.Adj)
-	ok := make([]bool, n)
-	for i := 0; i < n; i++ {
+	ok := make([]bool, len(g.Adj))
+	for i := range ok {
 		ok[i] = pred(g.expl.p, g.expl.stateAt(int32(i)))
 	}
-	// Build the subgraph induced by pred and run SCC over it by masking
-	// edges whose endpoints fall outside.
-	masked := &Graph{expl: g.expl, Adj: make([][]Edge, n)}
-	for v := 0; v < n; v++ {
-		if !ok[v] {
-			continue
-		}
-		for _, e := range g.Adj[v] {
-			if ok[e.To] {
-				masked.Adj[v] = append(masked.Adj[v], e)
-			}
-		}
+	c := findFair(g, g.expl.p.N, func(v int32) bool { return ok[v] }, nil, mustMove, nil)
+	if c == nil {
+		return nil
 	}
-	// Component membership via epoch marking: one int32 slice reused
-	// across components (a fresh epoch per component) instead of a
-	// per-SCC map — the SCC loop over a million-state graph allocates
-	// nothing and probes by index.
-	mark := make([]int32, n)
-	epoch := int32(0)
-	for _, comp := range masked.SCCs() {
-		if len(comp) == 1 && !hasSelfLoop(masked, comp[0]) {
-			continue
-		}
-		epoch++
-		predOK := true
-		for _, v := range comp {
-			if !ok[v] {
-				predOK = false
-				break
-			}
-			mark[v] = epoch
-		}
-		if !predOK {
-			continue
-		}
-		moves := make([]int, g.expl.p.N)
-		for _, v := range comp {
-			for _, e := range masked.Adj[v] {
-				if mark[e.To] == epoch && e.Pid >= 0 {
-					moves[e.Pid]++
-				}
-			}
-		}
-		all := true
-		for _, pid := range mustMove {
-			if moves[pid] == 0 {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		entry := comp[0]
-		for _, v := range comp {
-			if g.expl.depthOf(v) < g.expl.depthOf(entry) {
-				entry = v
-			}
-		}
-		return &StarvationReport{
-			ComponentSize: len(comp),
-			EntryLen:      int(g.expl.depthOf(entry)),
-			Entry:         g.expl.trace(entry),
-			MovesByPid:    moves,
-			Component:     comp,
-		}
+	return &StarvationReport{
+		ComponentSize: len(c.nodes),
+		EntryLen:      int(g.expl.depthOf(c.entry)),
+		Entry:         g.expl.trace(c.entry),
+		MovesByPid:    c.moves,
+		Component:     c.nodes,
 	}
-	return nil
 }
 
 // NoProgressReport describes a reachable cycle on which every listed
@@ -360,100 +241,16 @@ func (g *Graph) FindNoProgress(mustMove []int) *NoProgressReport {
 	if g.Quotient() {
 		return g.findNoProgressQuotient(mustMove)
 	}
-	n := len(g.Adj)
-	// Mask out cs-enter edges and SCC the remainder: a qualifying cycle
-	// must avoid entries entirely.
-	masked := &Graph{expl: g.expl, Adj: make([][]Edge, n)}
-	for v := 0; v < n; v++ {
-		for _, e := range g.Adj[v] {
-			if g.tagOf(v, e) == "cs-enter" {
-				continue
-			}
-			masked.Adj[v] = append(masked.Adj[v], e)
-		}
+	// A qualifying cycle avoids entries entirely: filter out cs-enter
+	// edges.
+	c := findFair(g, g.expl.p.N, nil, func(v, ei int32) bool { return !g.Adj[v][ei].Enter },
+		mustMove, nil)
+	if c == nil {
+		return nil
 	}
-	// Epoch-marked membership; see FindStarvation.
-	mark := make([]int32, n)
-	epoch := int32(0)
-	for _, comp := range masked.SCCs() {
-		if len(comp) == 1 && !hasSelfLoop(masked, comp[0]) {
-			continue
-		}
-		epoch++
-		for _, v := range comp {
-			mark[v] = epoch
-		}
-		moves := make([]int, g.expl.p.N)
-		for _, v := range comp {
-			for _, e := range masked.Adj[v] {
-				if mark[e.To] == epoch && e.Pid >= 0 {
-					moves[e.Pid]++
-				}
-			}
-		}
-		ok := true
-		for _, pid := range mustMove {
-			if moves[pid] == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		entry := comp[0]
-		for _, v := range comp {
-			if g.expl.depthOf(v) < g.expl.depthOf(entry) {
-				entry = v
-			}
-		}
-		return &NoProgressReport{
-			ComponentSize: len(comp),
-			MovesByPid:    moves,
-			Entry:         g.expl.trace(entry),
-		}
+	return &NoProgressReport{
+		ComponentSize: len(c.nodes),
+		MovesByPid:    c.moves,
+		Entry:         g.expl.trace(c.entry),
 	}
-	return nil
-}
-
-// tagOf recovers the branch tag of an edge by re-deriving it from the
-// source state (edges do not store tags to keep the graph small).
-func (g *Graph) tagOf(from int, e Edge) string {
-	if e.LabelIdx < 0 {
-		return ""
-	}
-	p := g.expl.p
-	s := g.expl.stateAt(int32(from))
-	// Under symmetry reduction the stored target is the orbit
-	// representative, so successors must be compared through canonical
-	// keys; the target's key is hoisted out of the loop.
-	toState := g.expl.stateAt(e.To)
-	var keyTo gcl.State
-	if g.expl.symmetry {
-		keyTo = p.Canonicalize(toState)
-	}
-	for _, sc := range p.Succs(s, int(e.Pid), g.expl.opts.Mode, nil) {
-		if sc.LabelIdx != e.LabelIdx {
-			continue
-		}
-		if !g.expl.symmetry {
-			if sc.State.Equal(toState) {
-				return sc.Tag
-			}
-			continue
-		}
-		if p.Canonicalize(sc.State).Equal(keyTo) {
-			return sc.Tag
-		}
-	}
-	return ""
-}
-
-func hasSelfLoop(g *Graph, v int32) bool {
-	for _, e := range g.Adj[v] {
-		if e.To == v {
-			return true
-		}
-	}
-	return false
 }

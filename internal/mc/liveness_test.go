@@ -2,6 +2,7 @@ package mc
 
 import (
 	"testing"
+	"unsafe"
 
 	"bakerypp/internal/gcl"
 	"bakerypp/internal/specs"
@@ -121,26 +122,73 @@ func TestFindNoProgressPositiveControl(t *testing.T) {
 	}
 }
 
-// Sanity for tagOf: cs-enter edges really are excluded — a two-process
-// Bakery++ graph masked of entries must not contain its cs states'
-// entering edges in any qualifying component (covered implicitly by
-// TestBakeryPPNoGlobalLivelock; here we check tag recovery directly).
+// Edge.Enter is recorded at build time from the taken branch's tag; it
+// must agree with the tag re-derived from the source state for every edge
+// of a full Bakery++ graph, and some edges must carry it.
 func TestTagRecovery(t *testing.T) {
 	p := specs.BakeryPP(specs.Config{N: 2, M: 2})
 	g, err := BuildGraph(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for v := 0; v < len(g.Adj) && !found; v++ {
+	enters := 0
+	for v := range g.Adj {
 		for _, e := range g.Adj[v] {
-			if g.tagOf(v, e) == "cs-enter" {
-				found = true
-				break
+			tag := ""
+			for _, sc := range p.Succs(g.State(v), int(e.Pid), gcl.ModeUnbounded, nil) {
+				if sc.LabelIdx == e.LabelIdx && sc.State.Equal(g.State(int(e.To))) {
+					tag = sc.Tag
+					break
+				}
+			}
+			if e.Enter != (tag == "cs-enter") {
+				t.Fatalf("edge %d->%d (p%d:%s): Enter=%v, re-derived tag %q",
+					v, e.To, e.Pid, g.EdgeLabel(e), e.Enter, tag)
+			}
+			if e.Enter {
+				enters++
 			}
 		}
 	}
-	if !found {
-		t.Error("no cs-enter tag recovered from any edge")
+	if enters == 0 {
+		t.Error("no edge records a cs-enter branch")
+	}
+}
+
+// The cs-enter bit sits in Edge's padding: adjacency lists stay at 16
+// bytes an edge.
+func TestEdgeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Edge{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Edge{}) = %d, want 16", got)
+	}
+}
+
+// A mustMove pid outside [0, N) can never move, so no component qualifies:
+// both analyses return nil on both graph kinds instead of indexing past
+// the per-pid move counts.
+func TestMustMoveOutOfRange(t *testing.T) {
+	for _, sym := range []bool{false, true} {
+		p := specs.BakeryPP(specs.Config{N: 3, M: 2})
+		g, err := BuildGraph(p, Options{Symmetry: sym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l1 := p.LabelIndex("l1")
+		atL1 := func(pr *gcl.Prog, s gcl.State) bool { return pr.PC(s, 2) == l1 }
+		gateless := specs.BakeryPP(specs.Config{N: 3, M: 2, NoGate: true})
+		gg, err := BuildGraph(gateless, Options{Symmetry: sym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mustMove := range [][]int{{0, 3}, {-1, 1}} {
+			if rep := g.FindStarvation(atL1, mustMove); rep != nil {
+				t.Errorf("quotient=%v: FindStarvation(mustMove %v) = %d-state component, want nil",
+					sym, mustMove, rep.ComponentSize)
+			}
+			if rep := gg.FindNoProgress(mustMove); rep != nil {
+				t.Errorf("quotient=%v: gateless FindNoProgress(mustMove %v) = %d-state component, want nil",
+					sym, mustMove, rep.ComponentSize)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -282,6 +283,17 @@ func TestBuildGraphBoundExceeded(t *testing.T) {
 	}
 }
 
+// allSCCs collects every component of the unfiltered graph, in the
+// shared engine's order.
+func allSCCs(g cycleGraph) [][]int32 {
+	var out [][]int32
+	sccs(g, nil, nil, func(comp []int32) bool {
+		out = append(out, slices.Clone(comp))
+		return true
+	})
+	return out
+}
+
 func TestSCCsOnToggle(t *testing.T) {
 	p := gcl.New("toggle", 1)
 	p.SharedVar("x", 0)
@@ -292,7 +304,7 @@ func TestSCCsOnToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sccs := g.SCCs()
+	sccs := allSCCs(g)
 	// Reachable states: (a,0) -> (b,1) -> (a,0): one SCC of size 2.
 	if len(sccs) != 1 || len(sccs[0]) != 2 {
 		t.Errorf("SCCs = %v, want one component of size 2", sccs)

@@ -353,86 +353,14 @@ func (g *Graph) buildProduct() *product {
 	return pr
 }
 
-// degree returns the number of edges out of product node v.
-func (pr *product) degree(v int32) int32 { return pr.offs[v+1] - pr.offs[v] }
-
-// sccs runs iterative Tarjan over the product restricted to nodes passing
-// nodeOK and edges passing edgeOK (both endpoints must pass nodeOK too),
-// returning components in reverse topological order — the same contract as
-// Graph.SCCs.
-func (pr *product) sccs(nodeOK func(int32) bool, edgeOK func(v, ei int32) bool) [][]int32 {
-	n := int32(len(pr.nodes))
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var (
-		stack   []int32
-		sccs    [][]int32
-		counter int32
-	)
-	type frame struct {
-		v    int32
-		edge int32
-	}
-	var call []frame
-	for root := int32(0); root < n; root++ {
-		if index[root] != -1 || !nodeOK(root) {
-			continue
-		}
-		call = append(call[:0], frame{v: root})
-		index[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			if f.edge < pr.degree(f.v) {
-				ei := f.edge
-				f.edge++
-				w := pr.targets[pr.offs[f.v]+ei]
-				if !nodeOK(w) || !edgeOK(f.v, ei) {
-					continue
-				}
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			call = call[:len(call)-1]
-			if len(call) > 0 {
-				if pv := call[len(call)-1].v; low[v] < low[pv] {
-					low[pv] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []int32
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sccs = append(sccs, comp)
-			}
-		}
-	}
-	return sccs
+// numNodes, degree, edge and depthOf make the product a cycleGraph for
+// the shared SCC engine (cycles.go).
+func (pr *product) numNodes() int32       { return int32(len(pr.nodes)) }
+func (pr *product) degree(v int32) int32  { return pr.offs[v+1] - pr.offs[v] }
+func (pr *product) depthOf(v int32) int32 { return pr.depth[v] }
+func (pr *product) edge(v, ei int32) (int32, int8) {
+	i := pr.offs[v] + ei
+	return pr.targets[i], pr.movers[i]
 }
 
 // pathFromRoot reconstructs the product BFS path from the root to v.
@@ -449,11 +377,11 @@ func (pr *product) pathFromRoot(v int32) []pstep {
 }
 
 // bfsInComp runs a BFS from `from` restricted to nodes with mark[v] ==
-// epoch and edges passing edgeOK, stopping at the first dequeued node for
-// which stop selects an edge (returning the path through and including
-// that edge) or, with stopNode >= 0, at that node (returning the path to
-// it). Deterministic: nodes dequeue in discovery order, edges scan in
-// adjacency order.
+// epoch and edges passing edgeOK (nil passes all), stopping at the first
+// dequeued node for which stop selects an edge (returning the path through
+// and including that edge) or, with stopNode >= 0, at that node (returning
+// the path to it). Deterministic: nodes dequeue in discovery order, edges
+// scan in adjacency order.
 func (pr *product) bfsInComp(from int32, mark []int32, epoch int32, edgeOK func(v, ei int32) bool,
 	stop func(v, ei int32) bool, stopNode int32) ([]pstep, int32, bool) {
 	pr.seenGen++
@@ -482,7 +410,7 @@ func (pr *product) bfsInComp(from int32, mark []int32, epoch int32, edgeOK func(
 		}
 		for ei := int32(0); ei < pr.degree(v); ei++ {
 			w := pr.targets[pr.offs[v]+ei]
-			if mark[w] != epoch || !edgeOK(v, ei) {
+			if mark[w] != epoch || (edgeOK != nil && !edgeOK(v, ei)) {
 				continue
 			}
 			if stop != nil && stop(v, ei) {
@@ -499,10 +427,11 @@ func (pr *product) bfsInComp(from int32, mark []int32, epoch int32, edgeOK func(
 }
 
 // stitchCycle builds a product cycle through entry, inside the component
-// marked with epoch, on which every pid in mustMove moves: repeatedly walk
-// to the nearest not-yet-covered required mover's edge, then close back to
-// entry. The component is strongly connected under the same edge filter,
-// so every leg exists.
+// marked with epoch, on which every pid in mustMove (all in [0, N): the
+// fair-component scan checked them) moves: repeatedly walk to the nearest
+// not-yet-covered required mover's edge, then close back to entry. The
+// component is strongly connected under the same edge filter, so every
+// leg exists.
 func (pr *product) stitchCycle(entry int32, mark []int32, epoch int32,
 	edgeOK func(v, ei int32) bool, mustMove []int) ([]pstep, bool) {
 	covered := make([]bool, pr.p.N)
@@ -515,7 +444,7 @@ func (pr *product) stitchCycle(entry int32, mark []int32, epoch int32,
 		cycle = append(cycle, leg...)
 	}
 	for _, pid := range mustMove {
-		if pid >= 0 && pid < pr.p.N && covered[pid] {
+		if covered[pid] {
 			continue
 		}
 		leg, end, ok := pr.bfsInComp(cur, mark, epoch, edgeOK, func(v, ei int32) bool {
@@ -618,80 +547,36 @@ func coversMustMove(steps []Step, mustMove []int, n int) bool {
 	return true
 }
 
-// findFairCycle is the shared engine behind the quotient analyses: SCC the
-// filtered product, find a component in which every mustMove pid moves,
-// stitch a lasso, replay it concretely, and hand the verified material to
-// the caller for packaging. ok may be nil (all nodes pass). verify
-// receives the concrete replayed cycle (post-states and taken branch tags)
-// plus the cycle's start state and must confirm the mined property.
-func (g *Graph) findFairCycle(pr *product, ok []bool, edgeOK func(v, ei int32) bool,
+// findFairCycle runs the fair-component scan (cycles.go) over the
+// filtered product and accepts the first component whose lasso — stitched
+// through its minimum-depth entry — replays concretely and passes verify,
+// which receives the cycle's start state and the replayed cycle
+// (post-states and taken branch tags) and must confirm the mined property.
+func (g *Graph) findFairCycle(pr *product, nodeOK func(v int32) bool, edgeOK func(v, ei int32) bool,
 	mustMove []int, verify func(start gcl.State, cycle []Step, tags []string) bool,
-) (entry Trace, cycle []Step, compSize int, moves []int, states []int32, entryLen int, found bool) {
+) (c *fairComp, entry Trace, cycle []Step) {
 	p := g.expl.p
-	nodeOK := func(v int32) bool { return ok == nil || ok[v] }
-	mark := make([]int32, len(pr.nodes))
-	epoch := int32(0)
-	for _, comp := range pr.sccs(nodeOK, edgeOK) {
-		epoch++
-		for _, v := range comp {
-			mark[v] = epoch
+	c = findFair(pr, p.N, nodeOK, edgeOK, mustMove, func(cand *fairComp) bool {
+		lasso, ok := pr.stitchCycle(cand.entry, cand.mark, cand.epoch, edgeOK, mustMove)
+		if !ok {
+			return false
 		}
-		if len(comp) == 1 {
-			v := comp[0]
-			self := false
-			for ei := int32(0); ei < pr.degree(v); ei++ {
-				if pr.targets[pr.offs[v]+ei] == v && edgeOK(v, ei) {
-					self = true
-					break
-				}
-			}
-			if !self {
-				continue
-			}
+		entrySteps, _, start, ok := pr.replaySteps(g.expl.stateAt(0), pr.pathFromRoot(cand.entry))
+		if !ok {
+			return false
 		}
-		mv := make([]int, p.N)
-		for _, v := range comp {
-			for ei := int32(0); ei < pr.degree(v); ei++ {
-				if w := pr.targets[pr.offs[v]+ei]; mark[w] == epoch && edgeOK(v, ei) {
-					mv[pr.movers[pr.offs[v]+ei]]++
-				}
-			}
-		}
-		all := true
-		for _, pid := range mustMove {
-			if pid < 0 || pid >= p.N || mv[pid] == 0 {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		ent := comp[0]
-		for _, v := range comp {
-			if pr.depth[v] < pr.depth[ent] {
-				ent = v
-			}
-		}
-		lasso, ok2 := pr.stitchCycle(ent, mark, epoch, edgeOK, mustMove)
-		if !ok2 {
-			continue
-		}
-		entrySteps, _, start, ok3 := pr.replaySteps(g.expl.stateAt(0), pr.pathFromRoot(ent))
-		if !ok3 {
-			continue
-		}
-		cycleSteps, tags, end, ok4 := pr.replaySteps(start, lasso)
-		if !ok4 || !p.NormalizeCursors(end).Equal(p.NormalizeCursors(start)) {
-			continue
+		cycleSteps, tags, end, ok := pr.replaySteps(start, lasso)
+		if !ok || !p.NormalizeCursors(end).Equal(p.NormalizeCursors(start)) {
+			return false
 		}
 		if !coversMustMove(cycleSteps, mustMove, p.N) || !verify(start, cycleSteps, tags) {
-			continue
+			return false
 		}
-		return Trace{Prog: p, Init: g.expl.stateAt(0), Steps: entrySteps},
-			cycleSteps, len(comp), mv, pr.uniqStates(comp), len(entrySteps), true
-	}
-	return Trace{}, nil, 0, nil, nil, 0, false
+		entry = Trace{Prog: p, Init: g.expl.stateAt(0), Steps: entrySteps}
+		cycle = cycleSteps
+		return true
+	})
+	return c, entry, cycle
 }
 
 // findStarvationQuotient is FindStarvation on a quotient graph.
@@ -704,7 +589,6 @@ func (g *Graph) findStarvationQuotient(pred func(p *gcl.Prog, s gcl.State) bool,
 		pr.viewInto(view, pr.nodes[i])
 		ok[i] = pred(p, view)
 	}
-	edgeOK := func(v, ei int32) bool { return ok[pr.targets[pr.offs[v]+ei]] }
 	verify := func(start gcl.State, cycle []Step, _ []string) bool {
 		if !pred(p, start) {
 			return false
@@ -716,17 +600,16 @@ func (g *Graph) findStarvationQuotient(pred func(p *gcl.Prog, s gcl.State) bool,
 		}
 		return true
 	}
-	entry, cycle, size, moves, states, entryLen, found :=
-		g.findFairCycle(pr, ok, edgeOK, mustMove, verify)
-	if !found {
+	c, entry, cycle := g.findFairCycle(pr, func(v int32) bool { return ok[v] }, nil, mustMove, verify)
+	if c == nil {
 		return nil
 	}
 	return &StarvationReport{
-		ComponentSize: size,
-		EntryLen:      entryLen,
+		ComponentSize: len(c.nodes),
+		EntryLen:      len(entry.Steps),
 		Entry:         entry,
-		MovesByPid:    moves,
-		Component:     states,
+		MovesByPid:    c.moves,
+		Component:     pr.uniqStates(c.nodes),
 		Quotient:      true,
 		Cycle:         cycle,
 	}
@@ -746,14 +629,13 @@ func (g *Graph) findNoProgressQuotient(mustMove []int) *NoProgressReport {
 		}
 		return true
 	}
-	entry, cycle, size, moves, _, _, found :=
-		g.findFairCycle(pr, nil, edgeOK, mustMove, verify)
-	if !found {
+	c, entry, cycle := g.findFairCycle(pr, nil, edgeOK, mustMove, verify)
+	if c == nil {
 		return nil
 	}
 	return &NoProgressReport{
-		ComponentSize: size,
-		MovesByPid:    moves,
+		ComponentSize: len(c.nodes),
+		MovesByPid:    c.moves,
 		Entry:         entry,
 		Quotient:      true,
 		Cycle:         cycle,

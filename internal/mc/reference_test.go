@@ -176,3 +176,128 @@ func TestReferenceDigests(t *testing.T) {
 		}
 	}
 }
+
+// reportDigest covers every field of a starvation or no-progress report:
+// sizes, moves, component, the quotient flag, and the entry path and
+// closing cycle as rendered text. A nil report has its own digest.
+func reportDigest(p *gcl.Prog, size, entryLen int, moves []int, comp []int32,
+	quotient bool, entry *Trace, cycle []Step) uint64 {
+	d := newDigest()
+	d.word(int64(size))
+	d.word(int64(entryLen))
+	d.word(int64(len(moves)))
+	for _, m := range moves {
+		d.word(int64(m))
+	}
+	d.words(comp)
+	if quotient {
+		d.word(1)
+	} else {
+		d.word(0)
+	}
+	d.str(entry.String())
+	start := entry.Init
+	if n := len(entry.Steps); n > 0 {
+		start = entry.Steps[n-1].State
+	}
+	d.str((&Trace{Prog: p, Init: start, Steps: cycle}).String())
+	return uint64(d)
+}
+
+func starvationDigest(p *gcl.Prog, r *StarvationReport) uint64 {
+	if r == nil {
+		d := newDigest()
+		d.str("nil")
+		return uint64(d)
+	}
+	return reportDigest(p, r.ComponentSize, r.EntryLen, r.MovesByPid, r.Component, r.Quotient, &r.Entry, r.Cycle)
+}
+
+func noProgressDigest(p *gcl.Prog, r *NoProgressReport) uint64 {
+	if r == nil {
+		d := newDigest()
+		d.str("nil")
+		return uint64(d)
+	}
+	return reportDigest(p, r.ComponentSize, r.Entry.Len(), r.MovesByPid, nil, r.Quotient, &r.Entry, r.Cycle)
+}
+
+// TestReferenceReportDigests pins the cycle analyses' reports on full and
+// quotient graphs: the Section 6.3 starvation pinned at l1, active
+// starvation, Bakery++'s absent global livelock (a nil report) and the
+// gateless variant's livelock. The graphs are built at Workers 0 and 2.
+// The values were captured while each graph kind still had its own SCC
+// pass and component scan, so the shared engine must reproduce both.
+func TestReferenceReportDigests(t *testing.T) {
+	want := map[string]uint64{
+		"bakerypp-N3-M2/full/starve-l1":             0x5b7fc44925c97578,
+		"bakerypp-N3-M2/full/starve-active":         0xc606a69ecdcff57e,
+		"bakerypp-N3-M2/full/noprogress":            0xfda16f9ba02ccacf, // nil
+		"bakerypp-N3-M2/quotient/starve-l1":         0x95ceb434c2a1e41c,
+		"bakerypp-N3-M2/quotient/starve-active":     0x039df7317cba51a2,
+		"bakerypp-N3-M2/quotient/noprogress":        0xfda16f9ba02ccacf, // nil
+		"bakerypp-N3-M2-nogate/full/noprogress":     0x73ae9ece2e7c01d2,
+		"bakerypp-N3-M2-nogate/quotient/noprogress": 0x31de27daea6c9211,
+	}
+	type analysis struct {
+		name string
+		run  func(g *Graph, p *gcl.Prog) uint64
+	}
+	bakerypp := func() *gcl.Prog { return specs.BakeryPP(specs.Config{N: 3, M: 2}) }
+	nogate := func() *gcl.Prog { return specs.BakeryPP(specs.Config{N: 3, M: 2, NoGate: true}) }
+	cases := []struct {
+		prog     string
+		p        func() *gcl.Prog
+		analyses []analysis
+	}{
+		{"bakerypp-N3-M2", bakerypp, []analysis{
+			{"starve-l1", func(g *Graph, p *gcl.Prog) uint64 {
+				l1 := p.LabelIndex("l1")
+				return starvationDigest(p, g.FindStarvation(func(pr *gcl.Prog, s gcl.State) bool {
+					return pr.PC(s, 2) == l1
+				}, []int{0, 1}))
+			}},
+			{"starve-active", func(g *Graph, p *gcl.Prog) uint64 {
+				cs := p.LabelIndex("cs")
+				return starvationDigest(p, g.FindStarvation(func(pr *gcl.Prog, s gcl.State) bool {
+					return pr.PC(s, 2) != cs
+				}, allPids(3)))
+			}},
+			{"noprogress", func(g *Graph, p *gcl.Prog) uint64 {
+				return noProgressDigest(p, g.FindNoProgress(allPids(3)))
+			}},
+		}},
+		{"bakerypp-N3-M2-nogate", nogate, []analysis{
+			{"noprogress", func(g *Graph, p *gcl.Prog) uint64 {
+				return noProgressDigest(p, g.FindNoProgress(allPids(3)))
+			}},
+		}},
+	}
+	for _, workers := range []int{0, 2} {
+		for _, c := range cases {
+			for _, sym := range []bool{false, true} {
+				kind := "full"
+				if sym {
+					kind = "quotient"
+				}
+				p := c.p()
+				g, err := BuildGraph(p, Options{Symmetry: sym, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.Quotient() != sym {
+					t.Fatalf("%s: Quotient() = %v, want %v", c.prog, g.Quotient(), sym)
+				}
+				for _, a := range c.analyses {
+					name := fmt.Sprintf("%s/%s/%s/w%d", c.prog, kind, a.name, workers)
+					t.Run(name, func(t *testing.T) {
+						key := fmt.Sprintf("%s/%s/%s", c.prog, kind, a.name)
+						if got := a.run(g, p); got != want[key] {
+							t.Errorf("report digest %#016x, reference %#016x", got, want[key])
+						}
+					})
+				}
+			}
+		}
+	}
+}
