@@ -48,12 +48,7 @@ func runMain() int {
 		workers  = flag.Int("workers", 0, "model-checking expansion goroutines (0 or 1 = inline on one goroutine, -1 = GOMAXPROCS; FCFS/refinement checks stay sequential)")
 		symmetry = flag.Bool("symmetry", false, "process-symmetry reduction for the safety-check experiments (specs declaring full symmetry explore one state per orbit; verdicts unchanged)")
 		por      = flag.Bool("por", false, "ample-set partial-order reduction for the safety-check experiments (composes with -symmetry; verdicts unchanged)")
-		store    = flag.String("store", "", "visited-set tier for the store-aware experiments (E17) and -bench-json: exact|compact[64|128]|bitstate, with ,spill and ,shadow modifiers; empty = experiment defaults")
-
-		benchJSON  = flag.String("bench-json", "", "run the model-checking benchmark grid and write it as JSON to this path (e.g. BENCH_mc.json), instead of the experiment suite")
-		benchSmall = flag.Bool("bench-small", false, "with -bench-json: run only the quick safety cells (the CI bench-compare gate's grid)")
-		compare    = flag.String("compare", "", "with -bench-json: after the run, diff it against this older snapshot and exit nonzero on a states/sec regression past -compare-threshold or any verdict mismatch")
-		compareThr = flag.Float64("compare-threshold", 0.7, "acceptable new/old states-per-second ratio for -compare (0.7 = fail on a >30% regression)")
+		store    = flag.String("store", "", "visited-set tier for the store-aware experiments (E17): exact|compact[64|128]|bitstate, with ,spill and ,shadow modifiers; empty = experiment defaults")
 
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -83,6 +78,10 @@ func runMain() int {
 		}
 	}()
 
+	if *sweepIters < 0 {
+		fmt.Fprintf(os.Stderr, "bakerybench: -sweep-iters must be >= 0 (0 = grid default), got %d\n", *sweepIters)
+		return 2
+	}
 	var storeOpts *mc.StoreOptions
 	if *store != "" {
 		so, err := mc.ParseStoreSpec(*store)
@@ -96,51 +95,6 @@ func runMain() int {
 	if *list {
 		for _, e := range harness.Experiments() {
 			fmt.Printf("%-4s %s\n     claim: %s\n", e.ID, e.Title, e.Claim)
-		}
-		return 0
-	}
-	if *compare != "" && *benchJSON == "" {
-		fmt.Fprintln(os.Stderr, "bakerybench: -compare needs -bench-json (the fresh snapshot to diff against the old one)")
-		return 2
-	}
-	if *benchJSON != "" {
-		cfg := harness.ExpConfig{MCWorkers: *workers, Store: storeOpts}
-		var rep *harness.MCBenchReport
-		var err error
-		if *benchSmall {
-			rep, err = harness.RunMCBenchSmall(cfg)
-		} else {
-			rep, err = harness.RunMCBench(cfg)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bakerybench:", err)
-			return 1
-		}
-		if err := harness.WriteBenchJSON(*benchJSON, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "bakerybench:", err)
-			return 1
-		}
-		for _, r := range rep.Records {
-			fmt.Printf("%-28s %9d states  %12.0f states/s  %8.3fs  %s\n",
-				r.Name, r.States, r.StatesPerSec, r.WallSeconds, r.Verdict)
-		}
-		fmt.Printf("wrote %d records to %s\n", len(rep.Records), *benchJSON)
-		if *compare != "" {
-			old, err := harness.ReadMCBenchJSON(*compare)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bakerybench:", err)
-				return 1
-			}
-			cmp := harness.CompareMCBench(old, rep, *compareThr)
-			fmt.Printf("comparison against %s (threshold %.2f):\n%s", *compare, *compareThr, cmp)
-			if dropped := cmp.DroppedRows(); len(dropped) > 0 {
-				fmt.Fprintf(os.Stderr, "bakerybench: warning: %d row(s) of %s were not produced by this run and go unguarded: %s\n",
-					len(dropped), *compare, strings.Join(dropped, ", "))
-			}
-			if cmp.Failed() {
-				fmt.Fprintln(os.Stderr, "bakerybench: states/sec regression or verdict mismatch against", *compare)
-				return 1
-			}
 		}
 		return 0
 	}

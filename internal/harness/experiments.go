@@ -51,10 +51,10 @@ type ExpConfig struct {
 	// ignores this knob.
 	POR bool
 	// Store overrides the visited-set tier for the store-aware surfaces:
-	// nil leaves every experiment on its recorded defaults (RunMCBench
-	// then appends the store-mode grid and E17 prints its full mode
-	// table), while a parsed mc.StoreOptions pins that single tier — the
-	// shape CI's memory-smoke uses to run one mode under GOMEMLIMIT.
+	// nil leaves every experiment on its recorded defaults (E17 prints
+	// its full mode table), while a parsed mc.StoreOptions pins that
+	// single tier — the shape CI's memory-smoke uses to run one mode
+	// under GOMEMLIMIT.
 	// Exactness-needing experiments (graph, FCFS, refinement) ignore a
 	// lossy override rather than fail; mc.planFor would refuse it.
 	Store *mc.StoreOptions

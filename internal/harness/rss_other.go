@@ -2,5 +2,5 @@
 
 package harness
 
-// peakRSSKB is unavailable without getrusage; records carry 0.
+// peakRSSKB is unavailable without getrusage; E17 reports 0.
 func peakRSSKB() int64 { return 0 }

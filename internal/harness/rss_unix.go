@@ -8,7 +8,9 @@ import (
 )
 
 // peakRSSKB reports the process's resident-set high-water mark in KiB
-// (getrusage Maxrss is KiB on Linux, bytes on Darwin).
+// (getrusage Maxrss is KiB on Linux, bytes on Darwin): E17's peak-RSS
+// column. It is monotonic over the process, so a row's own footprint is
+// its delta against the preceding row.
 func peakRSSKB() int64 {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

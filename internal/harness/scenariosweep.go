@@ -1,15 +1,13 @@
 package harness
 
 // The lock-service scenario surface of the harness: named preset
-// scenarios (the grids cmd/bakeryserve and `bakerybench -scenario` run),
-// spec resolution for CLI arguments, and the scenario rows of the
-// machine-readable benchmark report.
+// scenarios (the grids cmd/bakeryserve and `bakerybench -scenario` run)
+// and spec resolution for CLI arguments.
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"bakerypp/internal/scenario"
 )
@@ -64,61 +62,4 @@ func ResolveScenario(arg string) (*scenario.Spec, error) {
 			arg, ScenarioPresets())
 	}
 	return scenario.Parse(arg)
-}
-
-// appendScenarioBench measures the scenario layer: each preset runs
-// single-threaded (the simulator's own event rate, not the shard
-// pool's) and reports executed events per wall second plus the overall
-// p99 acquire latency. The result fingerprint rides in the verdict
-// column, so a perf regression and a determinism break both show in the
-// same row.
-func appendScenarioBench(rep *MCBenchReport, presets []string) error {
-	for _, preset := range presets {
-		spec, err := ResolveScenario(preset)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		res, err := scenario.Run(spec, scenario.Options{Seed: 1})
-		if err != nil {
-			return err
-		}
-		secs := time.Since(start).Seconds()
-		rate := 0.0
-		if secs > 0 {
-			rate = float64(res.Events) / secs
-		}
-		rep.Records = append(rep.Records, MCBenchRecord{
-			Name:         "scenario/" + spec.Name + "/unit",
-			Algo:         spec.Algo,
-			N:            spec.N,
-			M:            spec.M,
-			Analysis:     "scenario",
-			Workers:      0,
-			Reduction:    "none",
-			Store:        "exact",
-			States:       int(res.Events),
-			Verdict:      "fingerprint:" + res.Fingerprint(),
-			Complete:     true,
-			WallSeconds:  secs,
-			StatesPerSec: rate,
-			EventsPerSec: rate,
-			AcqP99:       overallAcqP99(res),
-			PeakRSSKB:    peakRSSKB(),
-		})
-	}
-	return nil
-}
-
-// overallAcqP99 merges the per-class acquire-latency histograms and
-// returns the fleet-wide p99.
-func overallAcqP99(res *scenario.Result) int64 {
-	merged := res.Classes[0].Latency
-	if len(res.Classes) > 1 {
-		merged = merged.Clone()
-		for i := 1; i < len(res.Classes); i++ {
-			merged.Merge(res.Classes[i].Latency)
-		}
-	}
-	return merged.Quantile(0.99)
 }

@@ -134,11 +134,15 @@ func Names() []string {
 	return out
 }
 
-// Get builds the named specification. N defaults to 2 and M to 4.
+// Get builds the named specification. N defaults to 2 and M to 4 when
+// zero; a negative N or M is an error.
 func Get(name string, cfg Config) (*gcl.Prog, error) {
 	ctor, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("specs: unknown algorithm %q (have %v)", name, Names())
+	}
+	if cfg.N < 0 || cfg.M < 0 {
+		return nil, fmt.Errorf("specs: %s needs N >= 0 and M >= 0 (0 = default), got N=%d M=%d", name, cfg.N, cfg.M)
 	}
 	if cfg.N == 0 {
 		cfg.N = 2

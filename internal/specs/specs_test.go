@@ -99,6 +99,36 @@ func TestGetRegistry(t *testing.T) {
 	}
 }
 
+// Get refuses negative sizes for every registered spec instead of
+// panicking in the constructor or building a nonsense program; zero still
+// selects the default.
+func TestGetRejectsNegativeSizes(t *testing.T) {
+	for _, name := range Names() {
+		for _, c := range []struct {
+			cfg    Config
+			wantOK bool
+		}{
+			{Config{}, true},
+			{Config{N: 3, M: 0}, true},
+			{Config{N: 0, M: 3}, true},
+			{Config{N: -1}, false},
+			{Config{M: -2}, false},
+			{Config{N: 3, M: -3}, false},
+			{Config{N: -1, M: -1}, false},
+		} {
+			p, err := Get(name, c.cfg)
+			switch {
+			case c.wantOK && err != nil:
+				t.Errorf("Get(%q, %+v): %v", name, c.cfg, err)
+			case !c.wantOK && err == nil:
+				t.Errorf("Get(%q, %+v) built a %d-process program, want an error", name, c.cfg, p.N)
+			case !c.wantOK && !strings.Contains(err.Error(), name):
+				t.Errorf("Get(%q, %+v) error does not name the spec: %v", name, c.cfg, err)
+			}
+		}
+	}
+}
+
 func TestGetHonoursConfig(t *testing.T) {
 	p, err := Get("bakerypp", Config{N: 4, M: 9})
 	if err != nil {

@@ -119,13 +119,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// Clone returns an independent copy (Histogram is a fixed-size value;
-// copying it is cheap and allocation counts stay predictable).
-func (h *Histogram) Clone() *Histogram {
-	c := *h
-	return &c
-}
-
 // Merge folds other into h.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.total == 0 {
